@@ -2,6 +2,7 @@
 
 use crate::args::Options;
 use crate::errors::{CliError, EXIT_CLOBBER, EXIT_INVARIANT, EXIT_SWEEP_FAILED};
+use crate::run::{self, Job, RunSpec};
 use btfluid_bench::{
     ablation, adapt_exp, fig2, fig3, fig4a, fig4bc, skew, transient, validate, Table,
 };
@@ -9,17 +10,19 @@ use btfluid_core::adapt::AdaptConfig;
 use btfluid_core::multiclass::{BandwidthClass, MultiClassFluid};
 use btfluid_core::FluidParams;
 use btfluid_des::{
-    estimate_eta, run_single_torrent, ChunkLevelConfig, DesConfig, OrderPolicy, SchemeKind,
-    SimOutcome, Simulation, SingleTorrentConfig, Snapshot,
+    estimate_eta, run_single_torrent, ChunkLevelConfig, ScenarioHook, SchemeKind, SimOutcome,
+    Simulation, SingleTorrentConfig, Snapshot,
 };
 use btfluid_harness as harness;
 use btfluid_harness::json::Json;
 use btfluid_hybrid::{HybridConfig, HybridRunner, Regime};
-use btfluid_scenario::{registry, runner, trace_program, RateMode, TraceHook, TraceShaper};
+use btfluid_scenario::{
+    per_file, registry, runner, trace_program, RateMode, ScenarioProgram, ScenarioRun, TraceHook,
+    TraceShaper,
+};
 use btfluid_telemetry::{
-    diag, set_level, shared_recorder, Counters, FanoutProbe, Level, MetaField, Profiler,
-    RecorderProbe, SharedRecorder, SharedSink, SinkProbe, TraceSink, DEFAULT_FLIGHT_CAPACITY,
-    DEFAULT_SAMPLE_EVERY, FLIGHTREC_SCHEMA, FLIGHTREC_VERSION, TRACE_SCHEMA, TRACE_VERSION,
+    diag, set_level, Counters, Level, MetaField, FLIGHTREC_SCHEMA, FLIGHTREC_VERSION, TRACE_SCHEMA,
+    TRACE_VERSION,
 };
 use btfluid_workload::{fit_model, ArrivalTrace, CorrelationModel};
 use std::fs;
@@ -50,22 +53,18 @@ COMMANDS
                 [--classes MU:C:LAMBDA,...] [--seed S]
   eta         X9: measure the sharing efficiency η at chunk level [--seed S]
   sim         one raw simulation  --scheme mtsd|mtcd|mfcd|cmfsd[:RHO]
-                [--p P] [--horizon H] [--warmup W] [--seed S]
-                [--origin-seeds N]
+                [--k K] [--p P] [--horizon H] [--warmup W]
+                [--origin-seeds N] [RUN OPTIONS]
   scenario    non-stationary scenario runs (flash crowds, churn, faults)
                 btfluid scenario list
-                btfluid scenario <name> [--scheme SCHEME] [--seed S]
-                  [--smoke | --scale F] [--exact | --aggregate] [--fluid]
-                  [--checked] [--trace FILE] [--sample-every T]
-                crash-safe (single-scheme only):
-                  [--checkpoint FILE] [--checkpoint-every N] [--resume]
-                  [--records FILE]
+                btfluid scenario <name> [--scheme SCHEME]
+                  [--smoke | --scale F] [--fluid] [RUN OPTIONS]
+                no --scheme runs the line-up MTSD, MTCD, MFCD, CMFSD and
+                CMFSD+Adapt (Adapt is left out under --aggregate)
                 multiscale fluid/DES driver (mtcd|mtsd only):
                   --hybrid [--hybrid-tol T] (default 0.1; thresholds
                   hi = ceil(1/T²), lo = hi/2); --checkpoint-every counts
-                  decision boundaries here, not events
-                flight recorder (observe-only ring of recent happenings):
-                  [--flightrec FILE] [--flightrec-cap N] (default 256)
+                  decision boundaries here (default 8), not events
   inspect     summarize a telemetry trace (counters, anomaly flags,
               per-class trajectories) or a flight-recorder dump (event
               mix, last handoff/checkpoint, staleness vs failure time)
@@ -74,8 +73,7 @@ COMMANDS
               timers (heap ops, rate maintenance, member sampling, hook
               dispatch, snapshot encode, sink write), calibrated-overhead
               subtracted, rendered as per-phase wall and per-event tables
-                [--scheme S] [--p P] [--horizon H] [--seed S]
-                [--exact | --aggregate] [--trace FILE]
+                [--scheme S] [--k K] [--p P] [--horizon H] [RUN OPTIONS]
   perf        cross-run performance observatory over committed BENCH_*.json
               and sweep manifests
                 [--bench FILES] [--manifest FILE] [--history FILE]
@@ -88,14 +86,15 @@ COMMANDS
               exit 4 — CI asserts exactly that
   sweep       supervised replicate sweep with failure quarantine
                 --manifest FILE [--bundles DIR] [--schemes LIST] [--reps N]
-                [--seed S] [--p P] [--k K] [--horizon H] [--resume]
+                [--seed S] [--k K] [--p P] [--horizon H] [--resume]
                 [--retries N] [--workers N] [--event-budget N]
                 [--wall-budget-ms MS] [--checkpoint-every N] [--checked]
-                [--exact] [--inject-panic CELL@EVENT]
+                [--exact | --aggregate] [--inject-panic CELL@EVENT]
                 [--workload FILE] replays a recorded arrival trace into
                 every cell (geometry and rates come from the trace;
                 --p/--k/--horizon are ignored; [--bins N] bins the
-                empirical rate for the reference schedule)
+                empirical rate for the reference schedule); --resume skips
+                the cells the --manifest journal records as done
   trace       measurement-calibrated workload traces
               (codec btfluid-trace-arrivals v1, CSV or JSONL)
                 btfluid trace gen --out FILE [--shape flat|diurnal]
@@ -103,9 +102,9 @@ COMMANDS
                   [--alpha A] [--leecher-frac F] [--format csv|jsonl]
                 btfluid trace fit --in FILE          recover (λ₀, p) by
                   moment matching; prints fitted vs empirical moments
-                btfluid trace replay --in FILE [--scheme S] [--seed S]
-                  [--exact | --aggregate] [--bins N] [--warmup W]
-                  [--fluid]  drive the DES with the recorded arrivals
+                btfluid trace replay --in FILE [--scheme S] [--bins N]
+                  [--warmup W] [--fluid] [RUN OPTIONS]  drive the DES
+                  with the recorded arrivals
                 btfluid trace info --in FILE         codec header, rate,
                   and class histogram
   repro       replay a quarantined cell (or chaos plan) from its repro
@@ -130,35 +129,34 @@ COMMANDS
 GLOBAL OPTIONS
   --csv            print CSV instead of an aligned table
   --out FILE       also write the (CSV) output to FILE
-  --force          overwrite existing --out/--records files
+  --force          overwrite existing --out/--records/--trace/--flightrec
+                   files
   --verbose        debug-level stderr diagnostics (includes engine traces)
   --quiet          errors only on stderr; result output is unaffected
   --help           this message
 
-OBSERVABILITY
-  --trace FILE streams a versioned JSONL telemetry trace (schema
-  btfluid-trace v1): per-class populations, aggregate rates, Adapt ρ/Δ,
-  and hot-loop counters, sampled every --sample-every simulated time
-  units (default 5). Traces are written atomically (FILE.tmp, renamed on
-  completion) and never mix with result files. 'btfluid inspect' reads
-  them back. All diagnostics go to stderr; --quiet/--verbose set their
-  level globally.
+RUN OPTIONS  (sim, profile, scenario, trace replay; sweep takes the first line)
+  --seed S  --exact | --aggregate  --checked (per-event audits, exit 4)
+  --checkpoint FILE [--checkpoint-every N] [--resume]  atomic snapshot every
+        N events (default 5000); a killed run resumes **bit-identical**
+  --records FILE                        per-user record stream as CSV
+  --trace FILE [--sample-every T]       btfluid-trace v1 JSONL, sampled
+        every T time units (default 5); 'btfluid inspect' reads it back
+  --flightrec FILE [--flightrec-cap N]  ring of the last N engine
+        happenings (default 256), dumped on success and on a typed error
+  Refused with exit 2 before anything runs: --exact with --aggregate;
+  --sample-every ≤ 0; --flightrec-cap 0; --checkpoint-every 0; --hybrid
+  with a scheme other than mtcd|mtsd or with --exact, --records or
+  --checked; the scheme line-up (no --scheme) with --checkpoint,
+  --records, --resume or --checked; sweep with --trace, --flightrec,
+  --records or --checkpoint.
 
 SEEDS
   Every DES-running command is deterministic under --seed; reruns with the
   same seed are bit-identical. Defaults: validate 2006, adapt 43, sim 1,
-  eta 11, multiclass 7, scenario 2006, sweep 2006. Fluid-only commands
-  (fig*, transient, ablation, skew) take no seed.
-
-CRASH SAFETY
-  --checkpoint FILE writes an atomic engine snapshot every
-  --checkpoint-every events (default 5000); with --resume a run killed at
-  any instant picks up from the checkpoint and finishes **bit-identical**
-  to an uninterrupted run. A finished run deletes its checkpoint. The
-  sweep command journals finished cells to --manifest (JSONL, append-only)
-  and --resume skips them; a cell that panics or blows its budget is
-  quarantined into a repro bundle under --bundles, replayable with
-  'btfluid repro'. --checked enables per-event engine invariant audits.
+  profile 1, eta 11, multiclass 7, scenario 2006, trace replay 2006,
+  sweep 2006. Fluid-only commands (fig*, transient, ablation, skew) take
+  no seed.
 
 EXIT CODES
   0 success          1 usage or I/O     2 invalid configuration
@@ -241,7 +239,7 @@ thread_local! {
 }
 
 /// Refuses to overwrite `path` unless `--force` was given.
-fn check_clobber(path: &str, opts: &Options) -> Result<(), CliError> {
+pub(crate) fn check_clobber(path: &str, opts: &Options) -> Result<(), CliError> {
     let first = WRITTEN.with(|w| w.borrow_mut().insert(path.to_string()));
     if first && Path::new(path).exists() && !opts.has("force") {
         return Err(CliError::clobber(path));
@@ -498,27 +496,16 @@ fn parse_scheme(s: &str) -> Result<SchemeKind, CliError> {
 }
 
 fn cmd_sim(opts: &Options) -> Result<(), CliError> {
+    let spec = RunSpec::parse(opts, 1)?;
     let scheme = parse_scheme(opts.get("scheme").unwrap_or("mtsd"))?;
-    let p = opts.get_f64("p", 0.5)?;
-    let horizon = opts.get_f64("horizon", 4000.0)?;
-    let cfg = DesConfig {
-        params: FluidParams::paper(),
-        model: CorrelationModel::new(10, p, 0.25)?,
-        scheme,
-        horizon,
-        warmup: opts.get_f64("warmup", horizon / 4.0)?,
-        drain: horizon,
-        seed: opts.get_u64("seed", 1)?,
-        adapt: None,
-        origin_seeds: opts.get_usize("origin-seeds", 1)?,
-        warm_start: false,
-        order_policy: OrderPolicy::default(),
-        record_every: None,
-        exact_rates: opts.has("exact"),
-        aggregate: opts.has("aggregate"),
-        checked: opts.has("checked"),
+    let cfg = spec.des_config(opts, scheme, spec.seed, 4000.0)?;
+    let p = cfg.model.p();
+    let job = Job {
+        cfg,
+        hook: None,
+        meta: spec.meta(format!("sim-{}", scheme.name())),
     };
-    let outcome = Simulation::new(cfg)?.try_run()?;
+    let (outcome, _) = run::execute(&spec, opts, vec![job])?.remove(0);
     let mut t = Table::new(
         format!("simulation — {} (p = {p})", scheme.name()),
         vec!["class", "users", "download/file", "online/file"],
@@ -547,89 +534,27 @@ fn cmd_sim(opts: &Options) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Writes a flight recorder's `flightrec v1` dump to `path` atomically.
-fn write_flight_dump(path: &Path, flight: &SharedRecorder) -> Result<(), CliError> {
-    let dump = flight
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .dump_string(None);
-    harness::atomic_write(path, dump.as_bytes())?;
-    diag!(Level::Info, "wrote flight recording {}", path.display());
-    Ok(())
-}
-
-/// Best-effort flight dump on an error path, so a typed engine or driver
-/// error still ships its last-N-events story. Never masks the original
-/// error: a dump failure only warns, and an empty ring (the error fired
-/// before any run) writes nothing.
-fn dump_flight_on_error(path: &Path, flight: &SharedRecorder) {
-    if flight.lock().unwrap_or_else(|e| e.into_inner()).is_empty() {
-        return;
-    }
-    if let Err(e) = write_flight_dump(path, flight) {
-        diag!(Level::Warn, "flight dump on the error path failed: {e}");
-    }
-}
-
 /// `btfluid profile` — run one engine configuration with the hierarchical
 /// self-profiler enabled and render the per-phase cost tables.
 fn cmd_profile(opts: &Options) -> Result<(), CliError> {
+    let mut spec = RunSpec::parse(opts, 1)?;
+    spec.profile = true;
     let scheme = parse_scheme(opts.get("scheme").unwrap_or("mtcd"))?;
-    let p = opts.get_f64("p", 0.5)?;
-    let horizon = opts.get_f64("horizon", 2000.0)?;
-    let cfg = DesConfig {
-        params: FluidParams::paper(),
-        model: CorrelationModel::new(10, p, 0.25)?,
-        scheme,
-        horizon,
-        warmup: opts.get_f64("warmup", horizon / 4.0)?,
-        drain: horizon,
-        seed: opts.get_u64("seed", 1)?,
-        adapt: None,
-        origin_seeds: opts.get_usize("origin-seeds", 1)?,
-        warm_start: false,
-        order_policy: OrderPolicy::default(),
-        record_every: None,
-        exact_rates: opts.has("exact"),
-        aggregate: opts.has("aggregate"),
-        checked: opts.has("checked"),
+    let cfg = spec.des_config(opts, scheme, spec.seed, 2000.0)?;
+    let p = cfg.model.p();
+    // A profile segment's header carries only its label and seed.
+    let mut meta = spec.meta(format!("profile-{}", scheme.name()));
+    meta.truncate(2);
+    let job = Job {
+        cfg,
+        hook: None,
+        meta,
     };
-    let sink = match opts.get("trace") {
-        Some(path) => {
-            check_clobber(path, opts)?;
-            harness::clean_stale_tmp(Path::new(path));
-            Some(TraceSink::create(Path::new(path))?.shared())
-        }
-        None => None,
-    };
-    let mut sim = Simulation::new(cfg)?;
-    sim.enable_profiler(Profiler::calibrated());
-    if let Some(sink) = &sink {
-        sink.lock().unwrap_or_else(|e| e.into_inner()).meta(&[
-            (
-                "label",
-                MetaField::Str(format!("profile-{}", scheme.name())),
-            ),
-            ("seed", MetaField::U64(opts.get_u64("seed", 1)?)),
-        ]);
-        sim.attach_probe(Box::new(SinkProbe::new(
-            sink.clone(),
-            opts.get_f64("sample-every", DEFAULT_SAMPLE_EVERY)?,
-        )));
-    }
-    let started = std::time::Instant::now();
-    while sim.step()? {}
-    let wall = started.elapsed();
-    let table = sim
-        .profiler_table()
+    let (outcome, report) = run::execute(&spec, opts, vec![job])?.remove(0);
+    let wall = report.wall;
+    let table = report
+        .profile
         .ok_or_else(|| CliError::from("internal: profiler vanished".to_string()))?;
-    let outcome = sim.finish();
-    if let Some(sink) = sink {
-        let mut guard = sink.lock().unwrap_or_else(|e| e.into_inner());
-        guard.profile(&table);
-        let path = guard.finish()?;
-        diag!(Level::Info, "wrote trace {}", path.display());
-    }
 
     let events = table.events.max(1);
     let accounted = table.accounted_ns();
@@ -722,146 +647,46 @@ fn cmd_scenario(rest: &[String]) -> Result<(), CliError> {
     if (scale - 1.0).abs() > 1e-12 {
         program = program.time_scaled(scale);
     }
-    let seed = opts.get_u64("seed", 2006)?;
-    let mode = match (opts.has("exact"), opts.has("aggregate")) {
-        (true, true) => {
-            return Err("scenario: --exact and --aggregate are mutually exclusive".into())
-        }
-        (true, false) => RateMode::Exact,
-        (false, true) => RateMode::Aggregate,
-        (false, false) => RateMode::Incremental,
-    };
-    let crash_safe = opts.get("checkpoint").is_some()
-        || opts.get("records").is_some()
-        || opts.has("resume")
-        || opts.has("checked");
-
-    let sample_every = opts.get_f64("sample-every", DEFAULT_SAMPLE_EVERY)?;
-    if !sample_every.is_finite() || sample_every <= 0.0 {
-        return Err("scenario: --sample-every must be positive".into());
-    }
-    let sink = match opts.get("trace") {
-        Some(path) => {
-            check_clobber(path, &opts)?;
-            // A kill between the sink's tmp write and its finishing rename
-            // leaves `<trace>.tmp` behind; clear it like checkpoint tmps.
-            harness::clean_stale_tmp(Path::new(path));
-            Some(TraceSink::create(Path::new(path))?.shared())
-        }
-        None => None,
-    };
-
-    // Flight recorder: an observe-only ring of the last-N engine
-    // happenings, dumped as a `flightrec v1` JSONL artifact at the end.
-    let flightrec = opts.get("flightrec").map(PathBuf::from);
-    let flight = match &flightrec {
-        Some(path) => {
-            check_clobber(&path.display().to_string(), &opts)?;
-            let cap = opts.get_usize("flightrec-cap", DEFAULT_FLIGHT_CAPACITY)?;
-            if cap == 0 {
-                return Err("scenario: --flightrec-cap must be at least 1".into());
-            }
-            Some(shared_recorder(cap))
-        }
-        None => None,
-    };
-
+    let spec = RunSpec::parse(&opts, 2006)?;
+    let seed = spec.seed;
     if opts.has("hybrid") {
-        return run_scenario_hybrid(
-            name,
-            &program,
-            seed,
-            scale,
-            mode,
-            &opts,
-            sink,
-            flight.map(|f| (f, flightrec.expect("flight implies a path"))),
-        );
+        let scheme = opts.get("scheme").map(parse_scheme).transpose()?;
+        let cfg = spec.hybrid_config(&program, scheme, opts.get_f64("hybrid-tol", 0.1)?)?;
+        return run_scenario_hybrid(name, cfg, scale, &spec, &opts);
     }
 
-    // Each scheme run gets its own meta record (a trace "segment") and a
-    // fresh probe streaming into the shared sink, so one file holds the
-    // whole line-up and `btfluid inspect` can tell the runs apart.
-    let mut make_probe = |label: &str| -> Option<Box<dyn btfluid_des::Probe>> {
-        let mut probes: Vec<Box<dyn btfluid_des::Probe>> = Vec::new();
-        if let Some(sink) = sink.as_ref() {
-            sink.lock().unwrap_or_else(|e| e.into_inner()).meta(&[
-                ("scenario", MetaField::Str(name.clone())),
-                ("label", MetaField::Str(label.to_string())),
-                ("seed", MetaField::U64(seed)),
-                ("scale", MetaField::F64(scale)),
-                ("exact_rates", MetaField::Bool(mode == RateMode::Exact)),
-                ("aggregate", MetaField::Bool(mode == RateMode::Aggregate)),
-                ("sample_every", MetaField::F64(sample_every)),
-            ]);
-            probes.push(Box::new(SinkProbe::new(sink.clone(), sample_every)));
+    // One engine run per line-up entry, each with its own trace segment
+    // in the shared sink so `btfluid inspect` can tell the runs apart.
+    program.validate()?;
+    let lineup = match opts.get("scheme") {
+        Some(s) => {
+            let scheme = parse_scheme(s)?;
+            vec![(scheme, None, scheme.name())]
         }
-        if let Some(flight) = flight.as_ref() {
-            probes.push(Box::new(RecorderProbe::new(Arc::clone(flight))));
-        }
-        match probes.len() {
-            0 => None,
-            1 => probes.pop(),
-            _ => Some(Box::new(FanoutProbe::new(probes))),
-        }
+        None => runner::scheme_lineup(&program, spec.mode),
     };
-
-    let run_result = (|| -> Result<Vec<runner::ScenarioRun>, CliError> {
-        match opts.get("scheme") {
-            Some(spec) => {
-                let scheme = parse_scheme(spec)?;
-                let probe = make_probe(&scheme.name());
-                if crash_safe {
-                    Ok(vec![run_scenario_resumable(
-                        &program, scheme, seed, mode, &opts, probe,
-                    )?])
-                } else {
-                    Ok(vec![runner::run_one_probed(
-                        &program,
-                        scheme,
-                        None,
-                        &scheme.name(),
-                        seed,
-                        mode,
-                        probe,
-                    )?])
-                }
-            }
-            None if crash_safe => Err(
-                "scenario: --checkpoint/--records/--resume/--checked need --scheme \
-                 (one engine run, one checkpoint)"
-                    .into(),
-            ),
-            None => Ok(runner::run_all_probed(
-                &program,
-                seed,
-                mode,
-                &mut make_probe,
-            )?),
-        }
-    })();
-    let runs = match run_result {
-        Ok(runs) => runs,
-        Err(e) => {
-            // A surfaced DesError still ships its flight story.
-            if let (Some(path), Some(flight)) = (&flightrec, &flight) {
-                dump_flight_on_error(path, flight);
-            }
-            return Err(e);
-        }
-    };
-
-    if let Some(sink) = sink {
-        let path = sink.lock().unwrap_or_else(|e| e.into_inner()).finish()?;
-        diag!(Level::Info, "wrote trace {}", path.display());
+    let hook = || -> Box<dyn ScenarioHook> { Box::new(program.hook()) };
+    let mut jobs = Vec::with_capacity(lineup.len());
+    for (scheme, adapt, label) in &lineup {
+        let mut cfg = program.des_config(*scheme, seed)?;
+        cfg.adapt = *adapt;
+        spec.apply(&mut cfg);
+        let mut meta = spec.meta(label.clone());
+        meta.insert(0, ("scenario", MetaField::Str(name.clone())));
+        meta.insert(3, ("scale", MetaField::F64(scale)));
+        jobs.push(Job {
+            cfg,
+            hook: Some(&hook),
+            meta,
+        });
     }
-    if let (Some(path), Some(flight)) = (&flightrec, &flight) {
-        write_flight_dump(path, flight)?;
-    }
-
-    if let Some(path) = opts.get("records") {
-        write_records(path, &runs[0].outcome, &opts)?;
-    }
+    let runs: Vec<ScenarioRun> = run::execute(&spec, &opts, jobs)?
+        .into_iter()
+        .zip(lineup)
+        .map(|((outcome, _), (scheme, _, label))| {
+            ScenarioRun::new(&program, scheme, label, outcome)
+        })
+        .collect();
 
     diag!(
         Level::Info,
@@ -904,7 +729,7 @@ fn scenario_list(opts: &Options) -> Result<(), CliError> {
 }
 
 /// Per-phase timeline of one scheme's scenario run.
-fn scenario_table(name: &str, run: &runner::ScenarioRun) -> Table {
+fn scenario_table(name: &str, run: &ScenarioRun) -> Table {
     let mut t = Table::new(
         format!("scenario {name} — {}", run.label),
         vec![
@@ -917,30 +742,34 @@ fn scenario_table(name: &str, run: &runner::ScenarioRun) -> Table {
         ],
     );
     for ph in &run.phases {
-        let mut dl = 0.0;
-        let mut files = 0.0;
-        for (idx, c) in ph.classes.iter().enumerate() {
-            dl += c.download.mean() * c.count() as f64;
-            files += (idx + 1) as f64 * c.count() as f64;
-        }
-        let per_file = |v: f64| {
-            if files > 0.0 {
-                format!("{:.2}", v / files)
-            } else {
-                "-".into()
-            }
-        };
         t.push_row(vec![
             ph.name.clone(),
             format!("[{:.0}, {:.0})", ph.start, ph.end),
             format!("{}", ph.completed()),
             format!("{}", ph.aborted),
-            per_file(dl),
-            ph.online_per_file()
-                .map_or_else(|| "-".into(), |v| format!("{v:.2}")),
+            or_dash(per_file(&ph.classes, |c| c.download.mean())),
+            or_dash(ph.online_per_file()),
         ]);
     }
     t
+}
+
+/// A per-file mean to two decimals, or `-` when nobody completed.
+fn or_dash(v: Option<f64>) -> String {
+    v.map_or_else(|| "-".into(), |v| format!("{v:.2}"))
+}
+
+/// Logs the DES-vs-fluid agreement of the downloading-user population.
+fn fluid_check(what: &str, des: &SimOutcome, program: &ScenarioProgram) -> Result<(), CliError> {
+    let des = btfluid_scenario::des_avg_downloaders(des);
+    let fluid = btfluid_scenario::fluid_avg_downloaders(program, 0.5)?;
+    diag!(
+        Level::Info,
+        "fluid check ({what}): DES {des:.2} downloading users, scheduled fluid \
+         {fluid:.2}, relative error {:.1}%",
+        100.0 * (des - fluid).abs() / fluid.max(1e-9)
+    );
+    Ok(())
 }
 
 /// DES-vs-fluid transient check: the schedule-driven MTCD ODE against an
@@ -949,7 +778,7 @@ fn scenario_table(name: &str, run: &runner::ScenarioRun) -> Table {
 /// origin seed adds a full μ per subtorrent.
 fn scenario_fluid_comparison(
     name: &str,
-    program: &btfluid_scenario::ScenarioProgram,
+    program: &ScenarioProgram,
     seed: u64,
 ) -> Result<(), CliError> {
     let mut program = program.clone();
@@ -962,66 +791,8 @@ fn scenario_fluid_comparison(
         seed,
         RateMode::Incremental,
     )?;
-    let des = btfluid_scenario::des_avg_downloaders(&run.outcome);
-    let fluid = btfluid_scenario::fluid_avg_downloaders(&program, 0.5)?;
-    let rel = (des - fluid).abs() / fluid.max(1e-9);
-    diag!(
-        Level::Info,
-        "fluid check ({name}, MTCD, origin seeds off): DES {des:.2} downloading users, \
-         fluid {fluid:.2}, relative error {:.1}%",
-        100.0 * rel
-    );
-    Ok(())
-}
-
-/// A single-scheme scenario run through the crash-safe driver: honors
-/// `--checkpoint`, `--checkpoint-every`, `--resume`, and `--checked`.
-fn run_scenario_resumable(
-    program: &btfluid_scenario::ScenarioProgram,
-    scheme: SchemeKind,
-    seed: u64,
-    mode: RateMode,
-    opts: &Options,
-    probe: Option<Box<dyn btfluid_des::Probe>>,
-) -> Result<runner::ScenarioRun, CliError> {
-    let mut cfg = program.des_config(scheme, seed)?;
-    mode.apply(&mut cfg);
-    cfg.checked = opts.has("checked");
-    cfg.validate()?;
-    let plan = harness::CheckpointPlan {
-        path: opts.get("checkpoint").map(PathBuf::from),
-        every_events: opts.get_u64("checkpoint-every", 5000)?,
-        retry: harness::RetryPolicy::default(),
-    };
-    let hook_factory = || -> Box<dyn btfluid_des::ScenarioHook> { Box::new(program.hook()) };
-    let report = harness::drive(
-        cfg,
-        Some(&hook_factory),
-        Some(&plan),
-        opts.has("resume"),
-        &harness::RunLimits::default(),
-        None,
-        None,
-        probe,
-    )?;
-    if report.resumed {
-        diag!(
-            Level::Info,
-            "resumed from checkpoint; finished at {} events ({} checkpoint(s) this run)",
-            report.events,
-            report.checkpoints
-        );
-    }
-    let Some(outcome) = report.outcome else {
-        return Err("internal: unlimited run returned without an outcome".into());
-    };
-    let phases = runner::phase_stats(program, &outcome);
-    Ok(runner::ScenarioRun {
-        label: scheme.name(),
-        scheme,
-        outcome,
-        phases,
-    })
+    let what = format!("{name}, MTCD, origin seeds off");
+    fluid_check(&what, &run.outcome, &program)
 }
 
 /// `btfluid scenario <name> --hybrid` — the multiscale fluid/DES driver:
@@ -1032,69 +803,22 @@ fn run_scenario_resumable(
 /// snapshots (v4); `--checkpoint-every` counts decision boundaries, not
 /// events. Per-class means print with shortest-roundtrip formatting, so
 /// byte-identical `--out` files mean bit-identical runs.
-#[allow(clippy::too_many_arguments)]
 fn run_scenario_hybrid(
     name: &str,
-    program: &btfluid_scenario::ScenarioProgram,
-    seed: u64,
+    cfg: HybridConfig,
     scale: f64,
-    mode: RateMode,
+    spec: &RunSpec,
     opts: &Options,
-    sink: Option<SharedSink>,
-    flight: Option<(SharedRecorder, PathBuf)>,
 ) -> Result<(), CliError> {
-    let scheme = match opts.get("scheme") {
-        Some(spec) => parse_scheme(spec)?,
-        None => {
-            return Err(
-                "scenario: --hybrid needs --scheme mtcd|mtsd (the schemes with \
-                 scheduled fluid models)"
-                    .into(),
-            )
-        }
-    };
-    if !matches!(scheme, SchemeKind::Mtcd | SchemeKind::Mtsd) {
-        return Err(format!(
-            "scenario: --hybrid supports mtcd and mtsd, not {}",
-            scheme.name()
-        )
-        .into());
-    }
-    if mode == RateMode::Exact {
-        return Err(
-            "scenario: --exact has no fluid counterpart; use --hybrid with the \
-             incremental or --aggregate engine"
-                .into(),
-        );
-    }
-    if opts.get("records").is_some() || opts.has("checked") {
-        return Err(
-            "scenario: --records/--checked are not supported with --hybrid \
-             (the driver is class-level; there is no per-user record stream)"
-                .into(),
-        );
-    }
-    let tol = opts.get_f64("hybrid-tol", 0.1)?;
-    let cfg = HybridConfig {
-        program: program.clone(),
-        scheme,
-        seed,
-        tol,
-        aggregate: mode == RateMode::Aggregate,
-    };
-
-    let checkpoint = opts.get("checkpoint").map(PathBuf::from);
-    let every = opts.get_u64("checkpoint-every", 8)?.max(1);
-    // Same discipline as the engine driver: a leftover `.tmp` from a kill
-    // mid-rename is never a valid resume source — remove it so the resume
-    // below reads only the committed hybrid v4 checkpoint.
-    if let Some(path) = &checkpoint {
-        harness::clean_stale_tmp(path);
-    }
-    let mut runner = match &checkpoint {
-        Some(path) if opts.has("resume") && path.is_file() => {
+    let (scheme, seed, tol, aggregate) = (cfg.scheme, cfg.seed, cfg.tol, cfg.aggregate);
+    let program = cfg.program.clone();
+    let outputs = run::Outputs::open(spec, opts)?;
+    let checkpoint = spec.checkpoint.as_deref();
+    let every = spec.checkpoint_every.unwrap_or(8);
+    let mut runner = match checkpoint {
+        Some(path) if spec.resume && path.is_file() => {
             let bytes = fs::read(path)?;
-            let r = HybridRunner::resume(cfg.clone(), &bytes)?;
+            let r = HybridRunner::resume(cfg, &bytes)?;
             diag!(
                 Level::Info,
                 "resumed hybrid run at t = {:.3} in the {:?} regime \
@@ -1108,58 +832,46 @@ fn run_scenario_hybrid(
         _ => HybridRunner::new(cfg)?,
     };
 
-    if let Some(sink) = &sink {
-        sink.lock().unwrap_or_else(|e| e.into_inner()).meta(&[
+    if let Some(sink) = &outputs.sink {
+        run::lock(sink).meta(&[
             ("scenario", MetaField::Str(name.to_string())),
             ("label", MetaField::Str(format!("hybrid-{}", scheme.name()))),
             ("seed", MetaField::U64(seed)),
             ("scale", MetaField::F64(scale)),
             ("hybrid", MetaField::Bool(true)),
             ("hybrid_tol", MetaField::F64(tol)),
-            ("aggregate", MetaField::Bool(mode == RateMode::Aggregate)),
+            ("aggregate", MetaField::Bool(aggregate)),
         ]);
         runner.attach_sink(sink.clone());
     }
-    if let Some((rec, _)) = &flight {
+    if let Some((rec, _)) = &outputs.flight {
         runner.attach_flight(Arc::clone(rec));
     }
 
+    // A surfaced error still ships its flight story.
     let mut since_checkpoint = 0u64;
-    let drive = (|| -> Result<(), CliError> {
-        while runner.step_boundary()? {
-            since_checkpoint += 1;
-            if let Some(path) = &checkpoint {
-                if since_checkpoint >= every {
-                    harness::atomic_write(path, &runner.snapshot())?;
-                    since_checkpoint = 0;
-                }
-            }
+    while runner
+        .step_boundary()
+        .inspect_err(|_| outputs.dump_on_error())?
+    {
+        since_checkpoint += 1;
+        if let Some(path) = checkpoint.filter(|_| since_checkpoint >= every) {
+            harness::atomic_write(path, &runner.snapshot())
+                .inspect_err(|_| outputs.dump_on_error())?;
+            since_checkpoint = 0;
         }
-        Ok(())
-    })();
-    if let Err(e) = drive {
-        // A surfaced HybridError still ships its flight story.
-        if let Some((rec, path)) = &flight {
-            dump_flight_on_error(path, rec);
-        }
-        return Err(e);
     }
     let outcome = runner.finish();
 
-    if let Some(sink) = sink {
+    if let Some(sink) = &outputs.sink {
         let counters = Counters {
             events_popped: outcome.des_events,
             ..Default::default()
         };
-        let mut guard = sink.lock().unwrap_or_else(|e| e.into_inner());
-        guard.end(outcome.final_t, &counters);
-        let path = guard.finish()?;
-        diag!(Level::Info, "wrote trace {}", path.display());
+        run::lock(sink).end(outcome.final_t, &counters);
     }
-    if let Some((rec, path)) = &flight {
-        write_flight_dump(path, rec)?;
-    }
-    if let Some(path) = &checkpoint {
+    outputs.finish(None)?;
+    if let Some(path) = checkpoint {
         if path.is_file() {
             fs::remove_file(path)?;
         }
@@ -1195,37 +907,8 @@ fn run_scenario_hybrid(
     );
 
     if opts.has("fluid") {
-        scenario_fluid_comparison(name, program, seed)?;
+        scenario_fluid_comparison(name, &program, seed)?;
     }
-    Ok(())
-}
-
-/// Writes the per-user record stream as CSV. Floats use Rust's
-/// shortest-roundtrip formatting, so two byte-identical files mean two
-/// bit-identical record streams — the resume tests compare exactly this.
-fn write_records(path: &str, outcome: &SimOutcome, opts: &Options) -> Result<(), CliError> {
-    check_clobber(path, opts)?;
-    let mut body =
-        String::from("id,class,arrival,departure,download_span,online_fluid,final_rho,cheater\n");
-    for r in &outcome.records {
-        body.push_str(&format!(
-            "{},{},{},{},{},{},{},{}\n",
-            r.id,
-            r.class,
-            r.arrival,
-            r.departure,
-            r.download_span,
-            r.online_fluid,
-            r.final_rho,
-            r.cheater
-        ));
-    }
-    fs::write(path, body)?;
-    diag!(
-        Level::Info,
-        "wrote {path} ({} records)",
-        outcome.records.len()
-    );
     Ok(())
 }
 
@@ -1249,7 +932,9 @@ fn cmd_sweep(opts: &Options) -> Result<(), CliError> {
         return Err("sweep: --manifest FILE is required (the append-only journal)".into());
     };
     let manifest_path = PathBuf::from(manifest);
-    let resume = opts.has("resume");
+    let spec = RunSpec::parse(opts, 2006)?;
+    spec.refuse_run_outputs("sweep")?;
+    let resume = spec.resume;
     if !resume && fs::metadata(&manifest_path).is_ok_and(|m| m.len() > 0) {
         return Err(CliError::new(
             EXIT_CLOBBER,
@@ -1275,11 +960,7 @@ fn cmd_sweep(opts: &Options) -> Result<(), CliError> {
     if reps == 0 {
         return Err("sweep: --reps must be at least 1".into());
     }
-    let base_seed = opts.get_u64("seed", 2006)?;
-    let p = opts.get_f64("p", 0.5)?;
-    let k = opts.get_usize("k", 10)? as u32;
-    let horizon = opts.get_f64("horizon", 600.0)?;
-    let warmup = opts.get_f64("warmup", horizon / 4.0)?;
+    let base_seed = spec.seed;
     let inject = parse_inject(opts.get("inject-panic"))?;
 
     // `--workload FILE` makes every cell a trace replay: the recorded
@@ -1307,39 +988,18 @@ fn cmd_sweep(opts: &Options) -> Result<(), CliError> {
     };
 
     let mut cells = Vec::new();
-    for spec in &scheme_specs {
-        let scheme = parse_scheme(spec)?;
+    for scheme_spec in &scheme_specs {
+        let scheme = parse_scheme(scheme_spec)?;
         for rep in 0..reps {
             let seed = base_seed.wrapping_add(rep as u64);
-            let id = format!("{spec}-s{seed}");
+            let id = format!("{scheme_spec}-s{seed}");
             let (cfg, scenario) = match &workload {
                 Some((path, program)) => {
                     let mut cfg = program.des_config(scheme, seed)?;
-                    cfg.exact_rates = opts.has("exact");
-                    cfg.aggregate = opts.has("aggregate");
-                    cfg.checked = opts.has("checked");
+                    spec.apply(&mut cfg);
                     (cfg, Some(harness::ScenarioRef::traced(path)))
                 }
-                None => {
-                    let cfg = DesConfig {
-                        params: FluidParams::paper(),
-                        model: CorrelationModel::new(k, p, 0.25)?,
-                        scheme,
-                        horizon,
-                        warmup,
-                        drain: horizon,
-                        seed,
-                        adapt: None,
-                        origin_seeds: 1,
-                        warm_start: false,
-                        order_policy: OrderPolicy::default(),
-                        record_every: None,
-                        exact_rates: opts.has("exact"),
-                        aggregate: opts.has("aggregate"),
-                        checked: opts.has("checked"),
-                    };
-                    (cfg, None)
-                }
+                None => (spec.des_config(opts, scheme, seed, 600.0)?, None),
             };
             cfg.validate()?;
             let inject_panic_at = inject
@@ -1374,7 +1034,7 @@ fn cmd_sweep(opts: &Options) -> Result<(), CliError> {
         backoff: Duration::from_millis(100),
         workers: opts.get_usize("workers", 1)?,
         resume,
-        checkpoint_every: opts.get_u64("checkpoint-every", 5000)?,
+        checkpoint_every: spec.checkpoint_every.unwrap_or(5000),
     };
     let report = harness::run_sweep(&sup, cells)?;
 
@@ -1597,23 +1257,22 @@ fn trace_fit(opts: &Options) -> Result<(), CliError> {
 
 /// `btfluid trace replay` — drive the DES with the recorded arrivals.
 fn trace_replay(opts: &Options) -> Result<(), CliError> {
+    let spec = RunSpec::parse(opts, 2006)?;
     let trace = trace_input(opts, "replay")?;
     let scheme = parse_scheme(opts.get("scheme").unwrap_or("mtcd"))?;
-    let seed = opts.get_u64("seed", 2006)?;
-    let mode = match (opts.has("exact"), opts.has("aggregate")) {
-        (true, true) => {
-            return Err("trace replay: --exact and --aggregate are mutually exclusive".into())
-        }
-        (true, false) => RateMode::Exact,
-        (false, true) => RateMode::Aggregate,
-        (false, false) => RateMode::Incremental,
-    };
     let bins = opts.get_usize("bins", 8)?;
     let warmup = opts.get_f64("warmup", trace.horizon() / 4.0)?;
     let program = trace_program(&trace, bins, warmup)?;
-    let mut cfg = program.des_config(scheme, seed)?;
-    mode.apply(&mut cfg);
-    let outcome = Simulation::with_hook(cfg, Box::new(TraceHook::new(&trace)?))?.run();
+    let mut cfg = program.des_config(scheme, spec.seed)?;
+    spec.apply(&mut cfg);
+    let hook = TraceHook::new(&trace)?;
+    let make_hook = || -> Box<dyn ScenarioHook> { Box::new(hook.clone()) };
+    let job = Job {
+        cfg,
+        hook: Some(&make_hook),
+        meta: spec.meta(format!("replay-{}", scheme.name())),
+    };
+    let (outcome, _) = run::execute(&spec, opts, vec![job])?.remove(0);
 
     let mut t = Table::new(
         format!(
@@ -1623,12 +1282,6 @@ fn trace_replay(opts: &Options) -> Result<(), CliError> {
         ),
         vec!["quantity", "value"],
     );
-    let mut online = 0.0;
-    let mut files = 0.0;
-    for (idx, c) in outcome.classes.iter().enumerate() {
-        online += c.online.mean() * c.count() as f64;
-        files += (idx + 1) as f64 * c.count() as f64;
-    }
     t.push_row(vec![
         "arrivals admitted".into(),
         outcome.arrivals.to_string(),
@@ -1638,11 +1291,7 @@ fn trace_replay(opts: &Options) -> Result<(), CliError> {
     t.push_row(vec!["censored".into(), outcome.censored.to_string()]);
     t.push_row(vec![
         "avg online/file".into(),
-        if files > 0.0 {
-            format!("{:.2}", online / files)
-        } else {
-            "-".into()
-        },
+        or_dash(per_file(&outcome.classes, |c| c.online.mean())),
     ]);
     t.push_row(vec![
         "avg downloading users".into(),
@@ -1653,16 +1302,8 @@ fn trace_replay(opts: &Options) -> Result<(), CliError> {
     if opts.has("fluid") {
         // The schedule adapter replays the binned empirical λ(t) through
         // the MTCD fluid ODE; under MTCD replay the two must agree.
-        let des = btfluid_scenario::des_avg_downloaders(&outcome);
-        let fluid = btfluid_scenario::fluid_avg_downloaders(&program, 0.5)?;
-        let rel = (des - fluid).abs() / fluid.max(1e-9);
-        diag!(
-            Level::Info,
-            "fluid check ({}, trace-driven): DES {des:.2} downloading users, \
-             scheduled fluid {fluid:.2}, relative error {:.1}%",
-            scheme.name(),
-            100.0 * rel
-        );
+        let what = format!("{}, trace-driven", scheme.name());
+        fluid_check(&what, &outcome, &program)?;
     }
     Ok(())
 }
@@ -2724,7 +2365,6 @@ fn cmd_all(opts: &Options) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::errors::EXIT_CONFIG;
 
     #[test]
     fn scheme_parsing() {
@@ -3149,10 +2789,11 @@ mod tests {
         );
     }
 
-    /// The hybrid driver runs end to end from the CLI, writes a trace
-    /// `inspect` can read back, and rejects the unsupported knobs.
+    /// The hybrid driver runs end to end from the CLI and writes a trace
+    /// `inspect` can read back (its refusals are rows of the
+    /// `run_refusals` table test).
     #[test]
-    fn scenario_hybrid_smoke_and_guards() {
+    fn scenario_hybrid_smoke() {
         let dir = std::env::temp_dir().join("btfluid_cli_hybrid_smoke");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -3176,24 +2817,6 @@ mod tests {
         assert!(body.contains("\"label\":\"hybrid-MTSD\""), "{body}");
         assert!(body.contains("\"kind\":\"end\""), "{body}");
         dispatch(&["inspect".into(), trace.to_str().unwrap().to_string()]).unwrap();
-
-        let base = |extra: &[&str]| -> Vec<String> {
-            ["scenario", "flash_crowd", "--hybrid", "--smoke"]
-                .iter()
-                .copied()
-                .chain(extra.iter().copied())
-                .map(String::from)
-                .collect()
-        };
-        // --scheme is mandatory and must be a scheduled-fluid scheme.
-        assert!(dispatch(&base(&[])).is_err());
-        assert!(dispatch(&base(&["--scheme", "mfcd"])).is_err());
-        // --exact, --records, --checked, and out-of-range tolerances are
-        // rejected before anything runs.
-        assert!(dispatch(&base(&["--scheme", "mtsd", "--exact"])).is_err());
-        assert!(dispatch(&base(&["--scheme", "mtsd", "--checked"])).is_err());
-        let err = dispatch(&base(&["--scheme", "mtsd", "--hybrid-tol", "3"])).unwrap_err();
-        assert_eq!(err.code, EXIT_CONFIG, "{}", err.message);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

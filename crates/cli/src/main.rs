@@ -20,6 +20,7 @@ mod args;
 mod commands;
 mod errors;
 mod perf;
+mod run;
 
 use btfluid_telemetry::{diag, Level};
 use std::process::ExitCode;

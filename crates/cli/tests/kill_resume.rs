@@ -32,16 +32,55 @@ fn fresh_dir(name: &str) -> PathBuf {
     dir
 }
 
+/// `trace replay` over a recorded workload: the replay cursor rides the
+/// engine snapshot, so a resume must pick up mid-trace.
+fn replay_args(trace: &Path, records: &Path) -> Vec<String> {
+    [
+        "trace",
+        "replay",
+        "--scheme",
+        "mtcd",
+        "--seed",
+        "9",
+        "--csv",
+        "--in",
+        trace.to_str().unwrap(),
+        "--records",
+        records.to_str().unwrap(),
+    ]
+    .map(String::from)
+    .to_vec()
+}
+
 #[test]
 fn sigkill_then_resume_is_bit_identical() {
     let dir = fresh_dir("btfluid_kill_resume_test");
+    kill_then_resume(&dir.join("scenario"), scenario_args);
+
+    let trace = dir.join("workload.csv");
+    let status = Command::new(BIN)
+        .args(["trace", "gen", "--seed", "4", "--horizon", "4000"])
+        .args(["--lambda0", "0.5", "--out", trace.to_str().unwrap()])
+        .stderr(Stdio::null())
+        .status()
+        .expect("spawn trace gen");
+    assert!(status.success(), "trace gen failed: {status}");
+    kill_then_resume(&dir.join("replay"), |records| replay_args(&trace, records));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs `args(records)` uninterrupted, then again with checkpointing,
+/// SIGKILLed once the first checkpoint lands and resumed: both record
+/// streams must be byte-identical.
+fn kill_then_resume(dir: &Path, args: impl Fn(&Path) -> Vec<String>) {
+    std::fs::create_dir_all(dir).unwrap();
     let straight = dir.join("straight.csv");
     let resumed = dir.join("resumed.csv");
     let checkpoint = dir.join("cp.snap");
 
     // Reference: one uninterrupted run.
     let status = Command::new(BIN)
-        .args(scenario_args(&straight))
+        .args(args(&straight))
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .status()
@@ -50,7 +89,7 @@ fn sigkill_then_resume_is_bit_identical() {
 
     // Victim: same run with checkpointing, killed (SIGKILL — no cleanup
     // handler gets to run) as soon as the first checkpoint lands on disk.
-    let mut victim_args = scenario_args(&resumed);
+    let mut victim_args = args(&resumed);
     victim_args.extend(
         [
             "--checkpoint",
@@ -111,10 +150,10 @@ fn sigkill_then_resume_is_bit_identical() {
     let resumed_bytes = std::fs::read(&resumed).expect("read resumed records");
     assert!(
         straight_bytes == resumed_bytes,
-        "resumed record stream diverged from the uninterrupted run \
-         (killed mid-run: {killed})"
+        "{}: resumed record stream diverged from the uninterrupted run \
+         (killed mid-run: {killed})",
+        dir.display()
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Exit codes are part of the CLI contract: a corrupt checkpoint must die

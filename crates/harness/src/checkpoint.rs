@@ -12,7 +12,10 @@
 //! means "this run did not finish".
 
 use crate::error::{io_err, HarnessError};
-use btfluid_des::{DesConfig, FlightKind, Probe, ScenarioHook, SimOutcome, Simulation, Snapshot};
+use btfluid_des::{
+    DesConfig, FlightKind, Probe, ProfileTable, Profiler, ScenarioHook, SimOutcome, Simulation,
+    Snapshot,
+};
 use btfluid_numkit::rng::{RngCore, SplitMix64};
 use btfluid_telemetry::faults::{self, FaultSite, WritePlan};
 use btfluid_telemetry::profiler::Phase as ProfPhase;
@@ -209,6 +212,9 @@ pub struct RunLimits {
     /// Deterministically panic when the event count reaches this value —
     /// fault injection for the crash-recovery tests and CI smoke.
     pub inject_panic_at: Option<u64>,
+    /// Run with the calibrated self-profiler; its per-phase table comes
+    /// back in [`RunReport::profile`]. Wall-clock observation only.
+    pub profile: bool,
 }
 
 /// Why the driver returned.
@@ -243,6 +249,11 @@ pub struct RunReport {
     /// Whether checkpointing was disabled mid-run after
     /// [`RetryPolicy::degrade_after`] consecutive failed cycles.
     pub degraded: bool,
+    /// The self-profiler's table when [`RunLimits::profile`] was set.
+    pub profile: Option<ProfileTable>,
+    /// Wall time of the step loop, checkpoints included — the `engine`
+    /// span the probe receives.
+    pub wall: Duration,
 }
 
 /// Runs `cfg` under the plan and limits.
@@ -314,6 +325,9 @@ pub fn drive(
     };
     if let Some(probe) = probe {
         sim.attach_probe(probe);
+    }
+    if limits.profile {
+        sim.enable_profiler(Profiler::calibrated());
     }
     let resumed = existing.is_some();
     let chunk = plan.map_or(u64::MAX, |p| p.every_events);
@@ -421,7 +435,9 @@ pub fn drive(
 
     if end == RunEnd::Completed {
         let events = sim.events();
-        sim.emit_span("engine", drive_start.elapsed().as_micros() as u64);
+        let wall = drive_start.elapsed();
+        sim.emit_span("engine", wall.as_micros() as u64);
+        let profile = sim.profiler_table();
         let outcome = sim.finish();
         // A finished run must not leave a checkpoint behind: its presence
         // is the "work remains" signal for `--resume`.
@@ -440,6 +456,8 @@ pub fn drive(
             checkpoints,
             checkpoint_failures,
             degraded,
+            profile,
+            wall,
         });
     }
 
@@ -453,7 +471,8 @@ pub fn drive(
     ) {
         checkpoints += 1;
     }
-    sim.emit_span("engine", drive_start.elapsed().as_micros() as u64);
+    let wall = drive_start.elapsed();
+    sim.emit_span("engine", wall.as_micros() as u64);
     Ok(RunReport {
         outcome: None,
         end,
@@ -462,6 +481,8 @@ pub fn drive(
         checkpoints,
         checkpoint_failures,
         degraded,
+        profile: sim.profiler_table(),
+        wall,
     })
 }
 
@@ -631,6 +652,37 @@ mod tests {
         }));
         let msg = *result.unwrap_err().downcast::<String>().unwrap();
         assert!(msg.contains("injected panic at event 50"), "{msg}");
+    }
+
+    /// The profiler observes only: a profiled drive returns its table and
+    /// the same outcome as an unprofiled one.
+    #[test]
+    fn profiled_drive_returns_its_table() {
+        let limits = RunLimits {
+            profile: true,
+            ..Default::default()
+        };
+        let profiled = drive(cfg(9), None, None, false, &limits, None, None, None).unwrap();
+        let bare = drive(
+            cfg(9),
+            None,
+            None,
+            false,
+            &RunLimits::default(),
+            None,
+            None,
+            None,
+        );
+        let bare = bare.unwrap();
+        let table = profiled.profile.expect("profile requested");
+        assert_eq!(table.events, profiled.events);
+        assert!(bare.profile.is_none());
+        let (a, b) = (profiled.outcome.unwrap(), bare.outcome.unwrap());
+        assert_eq!(a.events, b.events);
+        assert_eq!(a.records.len(), b.records.len());
+        for (x, y) in a.records.iter().zip(&b.records) {
+            assert_eq!(x.departure.to_bits(), y.departure.to_bits());
+        }
     }
 
     #[test]

@@ -410,6 +410,7 @@ fn run_attempt(
             max_events: sup.budget.max_events,
             deadline: sup.budget.max_wall.map(|w| Instant::now() + w),
             inject_panic_at: cell.inject_panic_at,
+            profile: false,
         };
         move || {
             let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

@@ -53,7 +53,7 @@ pub use fluid::{des_avg_downloaders, fluid_avg_downloaders, ScheduledMtcd, Sched
 pub use program::{ProgramHook, ScenarioPhase, ScenarioProgram};
 pub use registry::{by_name, SCENARIO_NAMES};
 pub use replay::{trace_program, TraceHook};
-pub use runner::{run_all, run_one, scheme_lineup, PhaseStats, RateMode, ScenarioRun};
+pub use runner::{per_file, run_one, scheme_lineup, PhaseStats, RateMode, ScenarioRun};
 pub use schedule::Schedule;
 pub use shaper::TraceShaper;
 

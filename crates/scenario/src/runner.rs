@@ -3,7 +3,7 @@
 
 use crate::program::ScenarioProgram;
 use btfluid_core::adapt::AdaptConfig;
-use btfluid_des::{AdaptSetup, ClassStats, Probe, SchemeKind, SimOutcome, Simulation, UserRecord};
+use btfluid_des::{AdaptSetup, ClassStats, SchemeKind, SimOutcome, Simulation};
 use btfluid_numkit::NumError;
 
 /// Per-phase aggregation of one scenario run: users are bucketed by
@@ -32,14 +32,21 @@ impl PhaseStats {
     /// Mean online time per file over the phase's completed users, or
     /// `None` when nobody completed.
     pub fn online_per_file(&self) -> Option<f64> {
-        let mut online = 0.0;
-        let mut files = 0.0;
-        for (idx, c) in self.classes.iter().enumerate() {
-            online += c.online.mean() * c.count() as f64;
-            files += (idx + 1) as f64 * c.count() as f64;
-        }
-        (files > 0.0).then(|| online / files)
+        per_file(&self.classes, |c| c.online.mean())
     }
+}
+
+/// Per-file mean of a per-user statistic over per-class stats (index 0 ↔
+/// class 1): each class's `mean` weighted by its users, divided by the
+/// files they downloaded. `None` when nobody completed.
+pub fn per_file(classes: &[ClassStats], mean: impl Fn(&ClassStats) -> f64) -> Option<f64> {
+    let mut total = 0.0;
+    let mut files = 0.0;
+    for (idx, c) in classes.iter().enumerate() {
+        total += mean(c) * c.count() as f64;
+        files += (idx + 1) as f64 * c.count() as f64;
+    }
+    (files > 0.0).then(|| total / files)
 }
 
 /// One scheme's run of a scenario program.
@@ -55,44 +62,48 @@ pub struct ScenarioRun {
     pub phases: Vec<PhaseStats>,
 }
 
-/// Buckets an outcome into the program's reporting phases — the same
-/// aggregation [`run_one`] applies, exposed for callers that drive the
-/// engine themselves (e.g. the crash-safe checkpoint driver).
-pub fn phase_stats(program: &ScenarioProgram, outcome: &SimOutcome) -> Vec<PhaseStats> {
-    bucket_phases(program, outcome)
-}
-
-fn bucket_phases(program: &ScenarioProgram, outcome: &SimOutcome) -> Vec<PhaseStats> {
-    program
-        .phases
-        .iter()
-        .map(|ph| {
-            let mut classes = vec![ClassStats::default(); program.k as usize];
-            for r in &outcome.records {
-                if (ph.start..ph.end).contains(&r.arrival) {
-                    push_record(&mut classes[r.class - 1], r);
+impl ScenarioRun {
+    /// Buckets a finished outcome into the program's reporting phases.
+    pub fn new(
+        program: &ScenarioProgram,
+        scheme: SchemeKind,
+        label: impl Into<String>,
+        outcome: SimOutcome,
+    ) -> Self {
+        let phases = program
+            .phases
+            .iter()
+            .map(|ph| {
+                let mut classes = vec![ClassStats::default(); program.k as usize];
+                for r in &outcome.records {
+                    if (ph.start..ph.end).contains(&r.arrival) {
+                        let stats = &mut classes[r.class - 1];
+                        stats.download.push(r.download_span);
+                        stats.online.push(r.online_fluid);
+                        stats.rho.push(r.final_rho);
+                    }
                 }
-            }
-            let aborted = outcome
-                .aborts
-                .iter()
-                .filter(|a| (ph.start..ph.end).contains(&a.time))
-                .count();
-            PhaseStats {
-                name: ph.name.clone(),
-                start: ph.start,
-                end: ph.end,
-                classes,
-                aborted,
-            }
-        })
-        .collect()
-}
-
-fn push_record(stats: &mut ClassStats, r: &UserRecord) {
-    stats.download.push(r.download_span);
-    stats.online.push(r.online_fluid);
-    stats.rho.push(r.final_rho);
+                let aborted = outcome
+                    .aborts
+                    .iter()
+                    .filter(|a| (ph.start..ph.end).contains(&a.time))
+                    .count();
+                PhaseStats {
+                    name: ph.name.clone(),
+                    start: ph.start,
+                    end: ph.end,
+                    classes,
+                    aborted,
+                }
+            })
+            .collect();
+        Self {
+            label: label.into(),
+            scheme,
+            outcome,
+            phases,
+        }
+    }
 }
 
 /// Which rate-scheduling engine a scenario run uses.
@@ -132,99 +143,43 @@ pub fn run_one(
     seed: u64,
     mode: RateMode,
 ) -> Result<ScenarioRun, NumError> {
-    run_one_probed(program, scheme, adapt, label, seed, mode, None)
-}
-
-/// [`run_one`] with a telemetry probe attached to the engine. Probes only
-/// observe, so the outcome is bit-identical to the probe-free run.
-///
-/// # Errors
-/// Propagates configuration validation errors.
-#[allow(clippy::too_many_arguments)]
-pub fn run_one_probed(
-    program: &ScenarioProgram,
-    scheme: SchemeKind,
-    adapt: Option<AdaptSetup>,
-    label: &str,
-    seed: u64,
-    mode: RateMode,
-    probe: Option<Box<dyn Probe>>,
-) -> Result<ScenarioRun, NumError> {
     program.validate()?;
     let mut cfg = program.des_config(scheme, seed)?;
     cfg.adapt = adapt;
     mode.apply(&mut cfg);
     cfg.validate()?;
-    let mut sim = Simulation::with_hook(cfg, Box::new(program.hook()))?;
-    if let Some(probe) = probe {
-        sim.attach_probe(probe);
-    }
-    let outcome = sim.run();
-    let phases = bucket_phases(program, &outcome);
-    Ok(ScenarioRun {
-        label: label.into(),
-        scheme,
-        outcome,
-        phases,
-    })
+    let outcome = Simulation::with_hook(cfg, Box::new(program.hook()))?.run();
+    Ok(ScenarioRun::new(program, scheme, label, outcome))
 }
 
 /// The scheme line-up every scenario is run against: the paper's four
 /// schemes plus CMFSD with the Adapt layer attached.
-pub fn scheme_lineup(program: &ScenarioProgram) -> Vec<(SchemeKind, Option<AdaptSetup>, String)> {
+///
+/// In [`RateMode::Aggregate`] the CMFSD+Adapt cell is omitted: Adapt
+/// steers individual ρ from per-peer progress, which the aggregate engine
+/// does not track (its config is rejected by validation). The shorter
+/// line-up is visible to callers rather than silently downgraded to a
+/// different mode.
+pub fn scheme_lineup(
+    program: &ScenarioProgram,
+    mode: RateMode,
+) -> Vec<(SchemeKind, Option<AdaptSetup>, String)> {
     let cmfsd = SchemeKind::Cmfsd { rho: 0.5 };
     let adapt = AdaptSetup {
         controller: AdaptConfig::default_for_mu(program.params.mu()),
         epoch: 20.0,
         cheater_fraction: 0.0,
     };
-    vec![
+    let mut lineup = vec![
         (SchemeKind::Mtsd, None, "MTSD".into()),
         (SchemeKind::Mtcd, None, "MTCD".into()),
         (SchemeKind::Mfcd, None, "MFCD".into()),
         (cmfsd, None, cmfsd.name()),
-        (cmfsd, Some(adapt), "CMFSD+Adapt".into()),
-    ]
-}
-
-/// Runs the full scheme line-up against the program with a shared seed.
-///
-/// # Errors
-/// Propagates configuration validation errors from any run.
-pub fn run_all(
-    program: &ScenarioProgram,
-    seed: u64,
-    mode: RateMode,
-) -> Result<Vec<ScenarioRun>, NumError> {
-    run_all_probed(program, seed, mode, &mut |_| None)
-}
-
-/// [`run_all`] with a per-scheme telemetry probe: `make_probe` is called
-/// with each run's label and may return a probe for it (e.g. one
-/// [`btfluid_des::SinkProbe`] per scheme sharing a trace sink).
-///
-/// In [`RateMode::Aggregate`] the CMFSD+Adapt cell is omitted: Adapt
-/// steers individual ρ from per-peer progress, which the aggregate engine
-/// does not track (its config is rejected by validation). The shorter
-/// line-up is visible in the returned runs rather than silently downgraded
-/// to a different mode.
-///
-/// # Errors
-/// Propagates configuration validation errors from any run.
-pub fn run_all_probed(
-    program: &ScenarioProgram,
-    seed: u64,
-    mode: RateMode,
-    make_probe: &mut dyn FnMut(&str) -> Option<Box<dyn Probe>>,
-) -> Result<Vec<ScenarioRun>, NumError> {
-    scheme_lineup(program)
-        .into_iter()
-        .filter(|(_, adapt, _)| !(mode == RateMode::Aggregate && adapt.is_some()))
-        .map(|(scheme, adapt, label)| {
-            let probe = make_probe(&label);
-            run_one_probed(program, scheme, adapt, &label, seed, mode, probe)
-        })
-        .collect()
+    ];
+    if mode != RateMode::Aggregate {
+        lineup.push((cmfsd, Some(adapt), "CMFSD+Adapt".into()));
+    }
+    lineup
 }
 
 #[cfg(test)]
@@ -237,9 +192,11 @@ mod tests {
     #[test]
     fn smoke_flash_crowd_all_schemes() {
         let program = registry::flash_crowd().time_scaled(0.25);
-        let runs = run_all(&program, 7, RateMode::Incremental).expect("runs");
-        assert_eq!(runs.len(), 5);
-        for run in &runs {
+        let lineup = scheme_lineup(&program, RateMode::Incremental);
+        assert_eq!(lineup.len(), 5);
+        for (scheme, adapt, label) in lineup {
+            let run =
+                run_one(&program, scheme, adapt, &label, 7, RateMode::Incremental).expect("run");
             assert_eq!(run.phases.len(), 3, "{}", run.label);
             assert!(run.outcome.arrivals > 0, "{}: no arrivals", run.label);
             let completed: u64 = run.phases.iter().map(PhaseStats::completed).sum();
@@ -293,7 +250,7 @@ mod tests {
     /// `exact_rates` modes (the des-level proptest covers hookless runs).
     #[test]
     fn probe_never_perturbs_hooked_runs() {
-        use btfluid_des::{Counters, MemoryProbe, Sample};
+        use btfluid_des::{Counters, MemoryProbe, Probe, Sample};
         use std::sync::{Arc, Mutex};
 
         struct Fwd(Arc<Mutex<MemoryProbe>>);
@@ -313,29 +270,25 @@ mod tests {
         for mode in [RateMode::Incremental, RateMode::Exact] {
             let bare = run_one(&program, SchemeKind::Mtcd, None, "MTCD", 9, mode).expect("bare");
             let shared = Arc::new(Mutex::new(MemoryProbe::new(5.0)));
-            let probed = run_one_probed(
-                &program,
-                SchemeKind::Mtcd,
-                None,
-                "MTCD",
-                9,
-                mode,
-                Some(Box::new(Fwd(Arc::clone(&shared)))),
-            )
-            .expect("probed");
-            assert_eq!(bare.outcome.events, probed.outcome.events);
-            assert_eq!(bare.outcome.arrivals, probed.outcome.arrivals);
-            assert_eq!(bare.outcome.records.len(), probed.outcome.records.len());
-            for (a, b) in bare.outcome.records.iter().zip(&probed.outcome.records) {
+            let mut cfg = program.des_config(SchemeKind::Mtcd, 9).expect("config");
+            mode.apply(&mut cfg);
+            let probed = Simulation::with_hook(cfg, Box::new(program.hook()))
+                .expect("probed")
+                .with_probe(Box::new(Fwd(Arc::clone(&shared))))
+                .run();
+            assert_eq!(bare.outcome.events, probed.events);
+            assert_eq!(bare.outcome.arrivals, probed.arrivals);
+            assert_eq!(bare.outcome.records.len(), probed.records.len());
+            for (a, b) in bare.outcome.records.iter().zip(&probed.records) {
                 assert_eq!(a.id, b.id);
                 assert_eq!(a.departure.to_bits(), b.departure.to_bits());
                 assert_eq!(a.download_span.to_bits(), b.download_span.to_bits());
                 assert_eq!(a.online_fluid.to_bits(), b.online_fluid.to_bits());
             }
-            assert_eq!(bare.outcome.aborts.len(), probed.outcome.aborts.len());
+            assert_eq!(bare.outcome.aborts.len(), probed.aborts.len());
             assert_eq!(
                 bare.outcome.population.window.to_bits(),
-                probed.outcome.population.window.to_bits()
+                probed.population.window.to_bits()
             );
             let mem = shared.lock().unwrap();
             assert!(!mem.samples.is_empty(), "sampler never fired ({mode:?})");
