@@ -316,7 +316,8 @@ fn agg_smoke_guards() {
 /// End-to-end wall clocks on a shared machine are too noisy to resolve a
 /// percent-level effect (repeated identical runs here spread ±15%), so
 /// the cadence overhead is derived from the directly-measured
-/// per-checkpoint cost: `snapshot() + write_file()` timed at the *end* of
+/// per-checkpoint cost: `snapshot()`, encode and `harness::atomic_write`
+/// (fsync included — what `drive` pays per checkpoint) timed at the *end* of
 /// a finished run, where the accumulated statistics make the snapshot
 /// largest — an upper bound for every earlier checkpoint. Recorded under
 /// `"checkpoint_overhead"` in `BENCH_des.json`.
@@ -341,7 +342,7 @@ fn bench_checkpoint_overhead(_c: &mut Criterion) {
             cfg(),
             None,
             plan,
-            false,
+            btfluid_harness::Start::Fresh,
             &btfluid_harness::RunLimits::default(),
             None,
             None,
@@ -379,10 +380,10 @@ fn bench_checkpoint_overhead(_c: &mut Criterion) {
     let mut snap_bytes = 0;
     for _ in 0..reps.max(3) {
         let start = Instant::now();
-        let snap = sim.snapshot();
-        snap.write_file(&cp).expect("write checkpoint");
+        let bytes = sim.snapshot().to_bytes();
+        btfluid_harness::atomic_write(&cp, &bytes).expect("write checkpoint");
         ckpt_s = ckpt_s.min(start.elapsed().as_secs_f64());
-        snap_bytes = snap.to_bytes().len();
+        snap_bytes = bytes.len();
     }
 
     // One end-to-end coarse run for the record (noisy; not the guard).

@@ -21,7 +21,8 @@
 use crate::plan::{ChaosMode, ChaosPlan};
 use btfluid_des::SimOutcome;
 use btfluid_harness::{
-    drive, CheckpointPlan, HarnessError, RetryPolicy, RunEnd, RunLimits, RunReport,
+    drive, CheckpointPlan, Checkpointer, HarnessError, RetryPolicy, RunEnd, RunLimits, RunReport,
+    Start,
 };
 use btfluid_hybrid::{HybridConfig, HybridOutcome, HybridRunner};
 use btfluid_telemetry::faults::{self, FaultScript};
@@ -137,7 +138,7 @@ fn run_des(plan: &ChaosPlan, work_dir: &Path, flight: &SharedRecorder) -> Vec<Vi
         cfg.clone(),
         Some(&hook_factory),
         None,
-        false,
+        Start::Fresh,
         &RunLimits::default(),
         None,
         None,
@@ -177,7 +178,7 @@ fn run_des(plan: &ChaosPlan, work_dir: &Path, flight: &SharedRecorder) -> Vec<Vi
         cfg.clone(),
         Some(&hook_factory),
         Some(&cplan),
-        false,
+        Start::Fresh,
         &RunLimits {
             max_events: plan.kill_at,
             ..Default::default()
@@ -197,7 +198,7 @@ fn run_des(plan: &ChaosPlan, work_dir: &Path, flight: &SharedRecorder) -> Vec<Vi
                 cfg.clone(),
                 Some(&hook_factory),
                 Some(&cplan),
-                true,
+                Start::Resume,
                 &RunLimits::default(),
                 None,
                 None,
@@ -293,16 +294,16 @@ fn run_hybrid(plan: &ChaosPlan, work_dir: &Path, flight: &SharedRecorder) -> Vec
         Err(e) => return vec![Violation::new("run-completes", format!("baseline: {e:?}"))],
     };
 
-    let ckpt = work_dir.join(format!("plan-{}.hsnap", plan.index));
-    let _ = std::fs::remove_file(&ckpt);
+    let path = work_dir.join(format!("plan-{}.hsnap", plan.index));
+    let _ = std::fs::remove_file(&path);
     let _guard = Disarm;
     faults::arm(plan.script.clone());
     faults::install_flight(Arc::clone(flight));
     let chaos = (|| -> Result<HybridOutcome, String> {
         let mut runner = HybridRunner::new(cfg.clone()).map_err(|e| format!("new: {e:?}"))?;
         runner.attach_flight(Arc::clone(flight));
+        let mut ckpt = Checkpointer::new(Some(path), RetryPolicy::immediate());
         let mut boundary = 0u64;
-        let mut killed = false;
         loop {
             let more = runner
                 .step_boundary()
@@ -311,29 +312,21 @@ fn run_hybrid(plan: &ChaosPlan, work_dir: &Path, flight: &SharedRecorder) -> Vec
             if !more {
                 break;
             }
-            if !killed && plan.kill_at == Some(boundary) {
-                killed = true;
-                // Checkpoint through the (faulted) atomic writer; on
-                // persistent failure keep the live runner — degradation,
-                // not death.
-                let bytes = runner.snapshot();
-                let mut wrote = false;
-                for _ in 0..3 {
-                    if btfluid_harness::atomic_write(&ckpt, &bytes).is_ok() {
-                        wrote = true;
-                        break;
-                    }
-                }
-                if wrote {
-                    drop(runner);
-                    let on_disk =
-                        std::fs::read(&ckpt).map_err(|e| format!("read checkpoint: {e}"))?;
-                    runner = HybridRunner::resume(cfg.clone(), &on_disk)
-                        .map_err(|e| format!("resume: {e:?}"))?;
-                    runner.attach_flight(Arc::clone(flight));
-                }
+            // Kill point: checkpoint through the (faulted) writer and
+            // resume from what landed on disk. A write that fails even
+            // after retries keeps the live runner — degradation, not
+            // death.
+            if plan.kill_at == Some(boundary) && ckpt.write(&runner.snapshot(), boundary) {
+                let on_disk = ckpt
+                    .load()
+                    .map_err(|e| format!("read checkpoint: {e}"))?
+                    .ok_or("read checkpoint: committed file is missing")?;
+                runner = HybridRunner::resume(cfg.clone(), &on_disk)
+                    .map_err(|e| format!("resume: {e:?}"))?;
+                runner.attach_flight(Arc::clone(flight));
             }
         }
+        ckpt.complete().map_err(|e| e.to_string())?;
         Ok(runner.finish())
     })();
     faults::disarm();

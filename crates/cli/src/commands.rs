@@ -11,7 +11,7 @@ use btfluid_core::multiclass::{BandwidthClass, MultiClassFluid};
 use btfluid_core::FluidParams;
 use btfluid_des::{
     estimate_eta, run_single_torrent, ChunkLevelConfig, ScenarioHook, SchemeKind, SimOutcome,
-    Simulation, SingleTorrentConfig, Snapshot,
+    SingleTorrentConfig, Snapshot,
 };
 use btfluid_harness as harness;
 use btfluid_harness::json::Json;
@@ -138,7 +138,9 @@ GLOBAL OPTIONS
 RUN OPTIONS  (sim, profile, scenario, trace replay; sweep takes the first line)
   --seed S  --exact | --aggregate  --checked (per-event audits, exit 4)
   --checkpoint FILE [--checkpoint-every N] [--resume]  atomic snapshot every
-        N events (default 5000); a killed run resumes **bit-identical**
+        N events (default 5000); a killed run resumes **bit-identical**;
+        a failed write retries, warns and, if it keeps failing, turns
+        checkpointing off — the run still completes (hybrid too)
   --records FILE                        per-user record stream as CSV
   --trace FILE [--sample-every T]       btfluid-trace v1 JSONL, sampled
         every T time units (default 5); 'btfluid inspect' reads it back
@@ -801,8 +803,11 @@ fn scenario_fluid_comparison(
 ///
 /// Honors `--checkpoint`/`--checkpoint-every`/`--resume` with hybrid
 /// snapshots (v4); `--checkpoint-every` counts decision boundaries, not
-/// events. Per-class means print with shortest-roundtrip formatting, so
-/// byte-identical `--out` files mean bit-identical runs.
+/// events. Checkpoint writes follow the DES driver's policy
+/// ([`harness::Checkpointer`]): a failed write retries, warns and
+/// eventually disables checkpointing, and never stops the run. Per-class
+/// means print with shortest-roundtrip formatting, so byte-identical
+/// `--out` files mean bit-identical runs.
 fn run_scenario_hybrid(
     name: &str,
     cfg: HybridConfig,
@@ -813,11 +818,12 @@ fn run_scenario_hybrid(
     let (scheme, seed, tol, aggregate) = (cfg.scheme, cfg.seed, cfg.tol, cfg.aggregate);
     let program = cfg.program.clone();
     let outputs = run::Outputs::open(spec, opts)?;
-    let checkpoint = spec.checkpoint.as_deref();
+    let mut ckpt =
+        harness::Checkpointer::new(spec.checkpoint.clone(), harness::RetryPolicy::default());
     let every = spec.checkpoint_every.unwrap_or(8);
-    let mut runner = match checkpoint {
-        Some(path) if spec.resume && path.is_file() => {
-            let bytes = fs::read(path)?;
+    let saved = if spec.resume { ckpt.load()? } else { None };
+    let mut runner = match saved {
+        Some(bytes) => {
             let r = HybridRunner::resume(cfg, &bytes)?;
             diag!(
                 Level::Info,
@@ -829,7 +835,7 @@ fn run_scenario_hybrid(
             );
             r
         }
-        _ => HybridRunner::new(cfg)?,
+        None => HybridRunner::new(cfg)?,
     };
 
     if let Some(sink) = &outputs.sink {
@@ -849,16 +855,14 @@ fn run_scenario_hybrid(
     }
 
     // A surfaced error still ships its flight story.
-    let mut since_checkpoint = 0u64;
+    let mut boundaries = 0u64;
     while runner
         .step_boundary()
         .inspect_err(|_| outputs.dump_on_error())?
     {
-        since_checkpoint += 1;
-        if let Some(path) = checkpoint.filter(|_| since_checkpoint >= every) {
-            harness::atomic_write(path, &runner.snapshot())
-                .inspect_err(|_| outputs.dump_on_error())?;
-            since_checkpoint = 0;
+        boundaries += 1;
+        if boundaries.is_multiple_of(every) && ckpt.active() {
+            ckpt.write(&runner.snapshot(), boundaries);
         }
     }
     let outcome = runner.finish();
@@ -871,11 +875,7 @@ fn run_scenario_hybrid(
         run::lock(sink).end(outcome.final_t, &counters);
     }
     outputs.finish(None)?;
-    if let Some(path) = checkpoint {
-        if path.is_file() {
-            fs::remove_file(path)?;
-        }
-    }
+    ckpt.complete()?;
 
     let mut t = Table::new(
         format!(
@@ -1371,48 +1371,48 @@ fn cmd_repro(rest: &[String]) -> Result<(), CliError> {
         bundle.cell_id,
         bundle.reason
     );
-    let hook = bundle
+    // Resolve eagerly so a bad reference is a typed error; drive builds
+    // the hook it runs with from the same reference.
+    if let Some(sref) = &bundle.scenario {
+        sref.build_hook()?;
+    }
+    let make_hook = bundle
         .scenario
         .as_ref()
-        .map(harness::ScenarioRef::build_hook)
+        .map(|sref| move || sref.build_hook().expect("reference resolved above"));
+    let snap = bundle
+        .checkpoint
+        .as_deref()
+        .map(Snapshot::from_bytes)
         .transpose()?;
-    let mut sim = match &bundle.checkpoint {
-        Some(bytes) => {
-            let snap = Snapshot::from_bytes(bytes)?;
+    let start = match &snap {
+        Some(snap) => {
             diag!(
                 Level::Info,
                 "restoring checkpoint at t = {:.3} ({} events)",
                 snap.sim_time(),
                 snap.events()
             );
-            match hook {
-                Some(h) => Simulation::restore_with_hook(bundle.cfg.clone(), &snap, h)?,
-                None => Simulation::restore(bundle.cfg.clone(), &snap)?,
-            }
+            harness::Start::Snapshot(snap)
         }
-        None => match hook {
-            Some(h) => Simulation::with_hook(bundle.cfg.clone(), h)?,
-            None => Simulation::new(bundle.cfg.clone())?,
-        },
+        None => harness::Start::Fresh,
     };
-    let inject = bundle.inject_panic_at;
-    let replay = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-        move || -> Result<SimOutcome, btfluid_des::DesError> {
-            loop {
-                if inject.is_some_and(|n| sim.events() >= n) {
-                    panic!(
-                        "injected panic at event {} (t = {:.3})",
-                        sim.events(),
-                        sim.sim_time()
-                    );
-                }
-                if !sim.step()? {
-                    break;
-                }
-            }
-            Ok(sim.finish())
-        },
-    ));
+    let limits = harness::RunLimits {
+        inject_panic_at: bundle.inject_panic_at,
+        ..Default::default()
+    };
+    let replay = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        harness::drive(
+            bundle.cfg.clone(),
+            make_hook.as_ref().map(|f| f as &dyn Fn() -> _),
+            None,
+            start,
+            &limits,
+            None,
+            None,
+            None,
+        )
+    }));
     match replay {
         Err(payload) => Err(CliError::new(
             EXIT_SWEEP_FAILED,
@@ -1430,7 +1430,8 @@ fn cmd_repro(rest: &[String]) -> Result<(), CliError> {
             );
             Err(e.into())
         }
-        Ok(Ok(outcome)) => {
+        Ok(Ok(report)) => {
+            let outcome = report.outcome.expect("a run without limits completes");
             diag!(
                 Level::Info,
                 "repro {}: ran to completion without reproducing the failure \

@@ -238,7 +238,8 @@ impl Outputs {
         }
         // A kill between an atomic write's tmp file and its rename leaves
         // `<path>.tmp` behind; it is never valid state, so clear it.
-        for path in [&spec.checkpoint, &spec.trace].into_iter().flatten() {
+        // (The checkpoint's own is cleared by `harness::Checkpointer`.)
+        if let Some(path) = &spec.trace {
             harness::clean_stale_tmp(path);
         }
         let sink = spec.trace.as_deref().map(TraceSink::create).transpose()?;
@@ -361,7 +362,11 @@ pub fn execute(
             job.cfg,
             job.hook,
             plan.as_ref(),
-            spec.resume,
+            if spec.resume {
+                harness::Start::Resume
+            } else {
+                harness::Start::Fresh
+            },
             &limits,
             None,
             None,

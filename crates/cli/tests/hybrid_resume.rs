@@ -151,3 +151,37 @@ fn corrupt_hybrid_checkpoint_exits_with_snapshot_code() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A checkpoint that cannot be written follows the DES driver's policy:
+/// retries, warnings naming the path, then degradation — never a dead
+/// run. The means on stdout match a run without `--checkpoint` byte for
+/// byte.
+#[test]
+fn unwritable_hybrid_checkpoint_degrades_and_completes() {
+    let run = |extra: &[&str]| {
+        Command::new(BIN)
+            .args([
+                "scenario",
+                "flash_crowd",
+                "--smoke",
+                "--scheme",
+                "mtsd",
+                "--hybrid",
+            ])
+            .args(extra)
+            .output()
+            .expect("spawn run")
+    };
+    let plain = run(&[]);
+    assert!(plain.status.success());
+    let path = "/nonexistent/dir/x.hsnap";
+    let degraded = run(&["--checkpoint", path, "--checkpoint-every", "1"]);
+    let stderr = String::from_utf8_lossy(&degraded.stderr);
+    assert_eq!(degraded.status.code(), Some(0), "stderr: {stderr}");
+    assert!(stderr.contains(path), "warnings name the path: {stderr}");
+    assert!(stderr.contains("disabling checkpoints"), "{stderr}");
+    assert!(
+        degraded.stdout == plain.stdout,
+        "a failed checkpoint changed the printed means"
+    );
+}

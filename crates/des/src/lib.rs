@@ -57,6 +57,7 @@
 pub mod adapt;
 pub mod agg;
 pub mod chunklevel;
+pub mod codec;
 pub mod config;
 pub mod engine;
 pub mod error;

@@ -34,6 +34,8 @@
 //!
 //! ## On-disk format
 //!
+//! A [`crate::codec`] frame:
+//!
 //! ```text
 //! magic "BTFS" | version u32 | payload | fnv1a-64 checksum
 //! ```
@@ -49,10 +51,11 @@
 //! layout or any serialized semantic changes; old versions are rejected
 //! ([`SnapshotError::UnsupportedVersion`]) rather than migrated —
 //! checkpoints are short-lived crash-recovery artifacts, not archives.
-//! [`Snapshot::write_file`] writes a sibling temp file and renames it
-//! into place, so a crash mid-write never corrupts the previous
-//! checkpoint.
+//! This module only encodes and decodes bytes; files are written by
+//! `btfluid_harness::atomic_write` (temp file, fsync, rename), so a crash
+//! mid-write never corrupts the previous checkpoint.
 
+use crate::codec::{self, Reader, Writer};
 use crate::config::{DesConfig, OrderPolicy, SchemeKind};
 use crate::hook::ScenarioHook;
 use crate::observer::{AbortRecord, ClassStats, PopulationStats, SimOutcome, UserRecord};
@@ -62,9 +65,7 @@ use btfluid_numkit::stats::Welford;
 use btfluid_telemetry::Counters;
 use btfluid_workload::requests::FileId;
 use std::fmt;
-use std::path::Path;
 
-const MAGIC: &[u8; 4] = b"BTFS";
 /// Snapshot format version of per-peer-scheduling runs (see the module
 /// docs for the policy). v2 added the telemetry counters and sampler
 /// phase (`next_sample`, `last_delta`) so resumed runs emit the same
@@ -96,7 +97,7 @@ pub enum SnapshotError {
     /// The payload is structurally invalid (truncated, impossible
     /// lengths, inconsistent cross-references).
     Corrupt(String),
-    /// An I/O failure while reading or writing the snapshot file.
+    /// An I/O failure while reading a checkpoint file.
     Io(String),
 }
 
@@ -127,151 +128,13 @@ impl fmt::Display for SnapshotError {
 impl std::error::Error for SnapshotError {}
 
 // ---------------------------------------------------------------------------
-// FNV-1a 64 (checksums and digests; no external deps).
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-// ---------------------------------------------------------------------------
-// Little-endian writer/reader primitives.
-
-#[derive(Default)]
-struct W {
-    buf: Vec<u8>,
-}
-
-impl W {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn bool(&mut self, v: bool) {
-        self.u8(u8::from(v));
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-    fn opt_f64(&mut self, v: Option<f64>) {
-        match v {
-            None => self.u8(0),
-            Some(x) => {
-                self.u8(1);
-                self.f64(x);
-            }
-        }
-    }
-    fn f64s(&mut self, xs: &[f64]) {
-        self.u64(xs.len() as u64);
-        for &x in xs {
-            self.f64(x);
-        }
-    }
-}
-
-struct R<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> R<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| SnapshotError::Corrupt("truncated payload".into()))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
-    }
-    fn bool(&mut self) -> Result<bool, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(SnapshotError::Corrupt(format!("bad bool byte {b}"))),
-        }
-    }
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn f64(&mut self) -> Result<f64, SnapshotError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-    /// Reads a length prefix, refusing counts that cannot possibly fit in
-    /// the remaining bytes at `per` bytes each (corrupt-length guard).
-    fn len(&mut self, per: usize) -> Result<usize, SnapshotError> {
-        let n = self.u64()?;
-        let room = (self.buf.len() - self.pos) / per.max(1);
-        if n as usize > room {
-            return Err(SnapshotError::Corrupt(format!(
-                "length {n} exceeds remaining payload"
-            )));
-        }
-        Ok(n as usize)
-    }
-    fn str(&mut self) -> Result<String, SnapshotError> {
-        let n = self.len(1)?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| SnapshotError::Corrupt("non-UTF-8 string".into()))
-    }
-    fn opt_f64(&mut self) -> Result<Option<f64>, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.f64()?)),
-            b => Err(SnapshotError::Corrupt(format!("bad option tag {b}"))),
-        }
-    }
-    fn f64s(&mut self) -> Result<Vec<f64>, SnapshotError> {
-        let n = self.len(8)?;
-        (0..n).map(|_| self.f64()).collect()
-    }
-    fn done(&self) -> Result<(), SnapshotError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(SnapshotError::Corrupt(
-                "trailing bytes after payload".into(),
-            ))
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Digests.
 
 /// FNV-1a digest of the full configuration, over a canonical field
 /// encoding. *Every* field participates — resuming is only defined for
 /// the exact configuration the snapshot was taken under.
 pub fn config_digest(cfg: &DesConfig) -> u64 {
-    let mut w = W::default();
+    let mut w = Writer::default();
     w.f64(cfg.params.mu());
     w.f64(cfg.params.eta());
     w.f64(cfg.params.gamma());
@@ -319,22 +182,22 @@ pub fn config_digest(cfg: &DesConfig) -> u64 {
     if cfg.aggregate {
         w.u8(0xA6);
     }
-    fnv1a(&w.buf)
+    w.digest()
 }
 
 /// FNV-1a fingerprint of a hook's [`ScenarioHook::hook_state`] bytes.
 /// "No hook" digests differently from any hook, including one whose
 /// state is empty.
 pub fn hook_fingerprint(hook: Option<&dyn ScenarioHook>) -> u64 {
-    let mut bytes = Vec::new();
+    let mut w = Writer::default();
     match hook {
-        None => bytes.push(0),
+        None => w.u8(0),
         Some(h) => {
-            bytes.push(1);
-            bytes.extend_from_slice(&h.hook_state());
+            w.u8(1);
+            w.bytes(&h.hook_state());
         }
     }
-    fnv1a(&bytes)
+    w.digest()
 }
 
 // ---------------------------------------------------------------------------
@@ -345,8 +208,7 @@ pub fn hook_fingerprint(hook: Option<&dyn ScenarioHook>) -> u64 {
 /// Produced by [`crate::engine::Simulation::snapshot`]; consumed by
 /// [`crate::engine::Simulation::restore`] /
 /// [`crate::engine::Simulation::restore_with_hook`]. Serializable via
-/// [`Snapshot::to_bytes`] / [`Snapshot::from_bytes`] and the atomic
-/// file helpers.
+/// [`Snapshot::to_bytes`] / [`Snapshot::from_bytes`].
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     pub(crate) config_digest: u64,
@@ -429,9 +291,7 @@ impl Snapshot {
 
     /// Encodes to the versioned, checksummed byte format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = W::default();
-        w.buf.extend_from_slice(MAGIC);
-        w.u32(if self.agg.is_some() {
+        let mut w = Writer::frame(if self.agg.is_some() {
             SNAPSHOT_VERSION_AGG
         } else {
             SNAPSHOT_VERSION
@@ -527,9 +387,7 @@ impl Snapshot {
                 }
             }
         }
-        let checksum = fnv1a(&w.buf);
-        w.u64(checksum);
-        w.buf
+        w.seal()
     }
 
     /// Decodes and validates the byte format (magic, version, checksum,
@@ -539,19 +397,7 @@ impl Snapshot {
     /// Any [`SnapshotError`] variant except the mismatch ones, which are
     /// checked at restore time against the offered config/hook.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        if bytes.len() < MAGIC.len() + 4 + 8 {
-            return Err(SnapshotError::Corrupt("file too short".into()));
-        }
-        if &bytes[..4] != MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let body = &bytes[..bytes.len() - 8];
-        let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
-        if fnv1a(body) != stored {
-            return Err(SnapshotError::ChecksumMismatch);
-        }
-        let mut r = R::new(&body[4..]);
-        let version = r.u32()?;
+        let (version, mut r) = codec::open(bytes)?;
         if version != SNAPSHOT_VERSION && version != SNAPSHOT_VERSION_AGG {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
@@ -699,49 +545,12 @@ impl Snapshot {
             agg,
         })
     }
-
-    /// Writes the snapshot atomically: encodes to a sibling `.tmp` file,
-    /// then renames it over `path`. A crash mid-write leaves the previous
-    /// checkpoint (if any) intact.
-    ///
-    /// # Errors
-    /// [`SnapshotError::Io`] on filesystem failures.
-    pub fn write_file(&self, path: &Path) -> Result<(), SnapshotError> {
-        Self::write_file_bytes(path, &self.to_bytes())
-    }
-
-    /// Atomically writes already-encoded snapshot bytes (from
-    /// [`Snapshot::to_bytes`]) — same temp-file-and-rename discipline as
-    /// [`Snapshot::write_file`], for callers that also need the encoded
-    /// length (e.g. telemetry byte accounting) without encoding twice.
-    ///
-    /// # Errors
-    /// [`SnapshotError::Io`] on filesystem failures.
-    pub fn write_file_bytes(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
-        let io = |e: std::io::Error| SnapshotError::Io(format!("{}: {e}", path.display()));
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        std::fs::write(&tmp, bytes).map_err(io)?;
-        std::fs::rename(&tmp, path).map_err(io)
-    }
-
-    /// Reads and decodes a snapshot file.
-    ///
-    /// # Errors
-    /// [`SnapshotError::Io`] on filesystem failures, plus everything
-    /// [`Snapshot::from_bytes`] reports.
-    pub fn read_file(path: &Path) -> Result<Self, SnapshotError> {
-        let bytes = std::fs::read(path)
-            .map_err(|e| SnapshotError::Io(format!("{}: {e}", path.display())))?;
-        Self::from_bytes(&bytes)
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Component codecs.
 
-fn encode_peer(w: &mut W, p: &Peer) {
+fn encode_peer(w: &mut Writer, p: &Peer) {
     debug_assert!(p.adapt.is_none(), "controllers travel in adapt_states");
     let n = p.files.len();
     w.u64(p.id);
@@ -802,7 +611,7 @@ fn encode_peer(w: &mut W, p: &Peer) {
     w.u64(p.expiry_stamp);
 }
 
-fn decode_peer(r: &mut R) -> Result<Peer, SnapshotError> {
+fn decode_peer(r: &mut Reader) -> Result<Peer, SnapshotError> {
     let id = r.u64()?;
     let arrival = r.f64()?;
     let n = r.len(4)?;
@@ -897,7 +706,7 @@ fn decode_peer(r: &mut R) -> Result<Peer, SnapshotError> {
     })
 }
 
-fn encode_welford(w: &mut W, s: &Welford) {
+fn encode_welford(w: &mut Writer, s: &Welford) {
     let (n, mean, m2, min, max) = s.raw_parts();
     w.u64(n);
     w.f64(mean);
@@ -906,7 +715,7 @@ fn encode_welford(w: &mut W, s: &Welford) {
     w.f64(max);
 }
 
-fn decode_welford(r: &mut R) -> Result<Welford, SnapshotError> {
+fn decode_welford(r: &mut Reader) -> Result<Welford, SnapshotError> {
     let n = r.u64()?;
     let mean = r.f64()?;
     let m2 = r.f64()?;
@@ -915,7 +724,7 @@ fn decode_welford(r: &mut R) -> Result<Welford, SnapshotError> {
     Ok(Welford::from_raw_parts(n, mean, m2, min, max))
 }
 
-fn encode_class_stats(w: &mut W, cs: &[ClassStats]) {
+fn encode_class_stats(w: &mut Writer, cs: &[ClassStats]) {
     w.u64(cs.len() as u64);
     for c in cs {
         encode_welford(w, &c.download);
@@ -924,7 +733,7 @@ fn encode_class_stats(w: &mut W, cs: &[ClassStats]) {
     }
 }
 
-fn decode_class_stats(r: &mut R) -> Result<Vec<ClassStats>, SnapshotError> {
+fn decode_class_stats(r: &mut Reader) -> Result<Vec<ClassStats>, SnapshotError> {
     let n = r.len(5 * 8)?;
     (0..n)
         .map(|_| {
@@ -937,7 +746,7 @@ fn decode_class_stats(r: &mut R) -> Result<Vec<ClassStats>, SnapshotError> {
         .collect()
 }
 
-fn encode_outcome(w: &mut W, o: &SimOutcome) {
+fn encode_outcome(w: &mut Writer, o: &SimOutcome) {
     debug_assert!(
         o.inflight.is_empty() && o.trajectory.is_none() && o.censored == 0,
         "snapshots are taken mid-run, before finish() populates these"
@@ -972,7 +781,7 @@ fn encode_outcome(w: &mut W, o: &SimOutcome) {
     w.u64(o.events);
 }
 
-fn decode_outcome(r: &mut R) -> Result<SimOutcome, SnapshotError> {
+fn decode_outcome(r: &mut Reader) -> Result<SimOutcome, SnapshotError> {
     let classes = decode_class_stats(r)?;
     let obedient = decode_class_stats(r)?;
     let cheaters = decode_class_stats(r)?;
@@ -1104,14 +913,17 @@ mod tests {
         let snap = mid_run_snapshot();
         let mut bytes = snap.to_bytes();
         // Version sits right after the magic; bump it and re-checksum.
-        bytes[4..8].copy_from_slice(&99u32.to_le_bytes());
-        let len = bytes.len();
-        let sum = fnv1a(&bytes[..len - 8]);
-        bytes[len - 8..].copy_from_slice(&sum.to_le_bytes());
-        assert_eq!(
-            Snapshot::from_bytes(&bytes).unwrap_err(),
-            SnapshotError::UnsupportedVersion(99)
-        );
+        // 4 is the hybrid driver's frame, which shares the magic.
+        for version in [99, 4] {
+            bytes[4..8].copy_from_slice(&u32::to_le_bytes(version));
+            let len = bytes.len();
+            let sum = codec::fnv1a(&bytes[..len - 8]);
+            bytes[len - 8..].copy_from_slice(&sum.to_le_bytes());
+            assert_eq!(
+                Snapshot::from_bytes(&bytes).unwrap_err(),
+                SnapshotError::UnsupportedVersion(version)
+            );
+        }
     }
 
     #[test]
@@ -1156,19 +968,5 @@ mod tests {
             }
         }
         assert_ne!(hook_fingerprint(None), hook_fingerprint(Some(&Stateless)));
-    }
-
-    #[test]
-    fn atomic_file_roundtrip() {
-        let snap = mid_run_snapshot();
-        let dir = std::env::temp_dir().join(format!("btfs-snap-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ckpt.snap");
-        snap.write_file(&path).unwrap();
-        // The temp file must not linger after the rename.
-        assert!(!dir.join("ckpt.snap.tmp").exists());
-        let back = Snapshot::read_file(&path).unwrap();
-        assert_eq!(snap.to_bytes(), back.to_bytes());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

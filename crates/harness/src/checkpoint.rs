@@ -1,20 +1,22 @@
-//! The resumable run driver: step the engine in chunks, snapshotting
-//! atomically between chunks.
+//! The resumable run driver and the one checkpoint write/restore policy.
 //!
-//! The driver owns the loop the CLI and the supervisor both need: create
-//! (or restore) an engine, step it `every_events` at a time, write a
+//! [`Checkpointer`] owns what every checkpointing loop needs from disk:
+//! atomic writes ([`atomic_write`]: temp file, fsync, rename), bounded
+//! retry with backoff, degradation after repeated failures, the restore
+//! read, and deletion on completion. [`drive`] is the DES loop built on
+//! it: start fresh, from the checkpoint file, or from an in-memory
+//! snapshot ([`Start`]), step the engine `every_events` at a time,
 //! checkpoint after each chunk, and honor cooperative limits — an event
 //! budget, a wall-clock deadline, a cancel flag — checked at chunk
-//! granularity. Checkpoints use the snapshot layer's atomic
-//! temp-file-and-rename write, so a kill at any instant leaves either the
-//! previous checkpoint or the new one, never a torn file. On successful
-//! completion the checkpoint file is deleted: a leftover checkpoint always
-//! means "this run did not finish".
+//! granularity. The hybrid driver's CLI loop and the chaos executor use
+//! the same [`Checkpointer`] for its snapshot bytes. A kill at any instant
+//! leaves either the previous checkpoint or the new one, never a torn
+//! file, and a leftover checkpoint always means "this run did not finish".
 
 use crate::error::{io_err, HarnessError};
 use btfluid_des::{
     DesConfig, FlightKind, Probe, ProfileTable, Profiler, ScenarioHook, SimOutcome, Simulation,
-    Snapshot,
+    Snapshot, SnapshotError,
 };
 use btfluid_numkit::rng::{RngCore, SplitMix64};
 use btfluid_telemetry::faults::{self, FaultSite, WritePlan};
@@ -26,9 +28,10 @@ use std::time::{Duration, Instant};
 
 /// Atomically replaces `path` with `bytes`: write `<path>.tmp`, fsync,
 /// rename over the destination. A kill at any instant leaves either the
-/// old file or the new one, never a torn write — the same discipline the
-/// engine snapshot codec uses, exposed for byte formats the harness does
-/// not own (the hybrid engine's snapshot v4, result bundles, …).
+/// old file or the new one, never a torn write. This is the workspace's
+/// only checkpoint writer (engine v2/v3 and hybrid v4 snapshots alike,
+/// through [`Checkpointer`]); flight dumps and other whole-file artifacts
+/// use it too.
 ///
 /// Both steps pass through the chaos injection seam
 /// ([`btfluid_telemetry::faults`]) under the checkpoint sites, so a
@@ -200,6 +203,150 @@ pub struct CheckpointPlan {
     pub retry: RetryPolicy,
 }
 
+/// The checkpoint write/restore policy for one run, whatever engine
+/// produces the bytes.
+///
+/// Checkpointing is a pure observer of the run: a failed write never
+/// changes the result and never stops the run. Each [`Checkpointer::write`]
+/// is one cycle of up to [`RetryPolicy::max_attempts`] backed-off
+/// [`atomic_write`]s; a failed cycle warns with the path and counts, and
+/// after [`RetryPolicy::degrade_after`] consecutive failed cycles
+/// checkpointing disables itself (warning once) and the run finishes on
+/// its in-memory state.
+#[derive(Debug)]
+pub struct Checkpointer {
+    path: Option<PathBuf>,
+    retry: RetryPolicy,
+    written: u64,
+    failures: u64,
+    consecutive: u32,
+    degraded: bool,
+}
+
+impl Checkpointer {
+    /// Checkpoints to `path` (`None`: nowhere) under `retry`. A leftover
+    /// `<path>.tmp` from a write interrupted before its rename is removed
+    /// first: it is never a valid resume source.
+    pub fn new(path: Option<PathBuf>, retry: RetryPolicy) -> Self {
+        if let Some(path) = &path {
+            clean_stale_tmp(path);
+        }
+        Self {
+            path,
+            retry,
+            written: 0,
+            failures: 0,
+            consecutive: 0,
+            degraded: false,
+        }
+    }
+
+    /// Whether [`Checkpointer::write`] would touch the disk: a path is set
+    /// and checkpointing has not degraded. Lets callers skip encoding.
+    pub fn active(&self) -> bool {
+        self.path.is_some() && !self.degraded
+    }
+
+    /// The committed checkpoint's bytes — the restore source — or `None`
+    /// when no path is set or no checkpoint exists yet.
+    ///
+    /// # Errors
+    /// A checkpoint that exists but cannot be read is a snapshot error
+    /// ([`SnapshotError::Io`]), like one that fails to decode.
+    pub fn load(&self) -> Result<Option<Vec<u8>>, HarnessError> {
+        let Some(path) = &self.path else {
+            return Ok(None);
+        };
+        match std::fs::read(path) {
+            Ok(bytes) => Ok(Some(bytes)),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(SnapshotError::Io(format!("{}: {e}", path.display())).into()),
+        }
+    }
+
+    /// One write cycle of `bytes`; `salt` seeds the backoff jitter (pass
+    /// a run-progress count so reruns back off identically). Returns
+    /// whether the checkpoint was committed; a no-op returning `false`
+    /// when not [`Checkpointer::active`].
+    pub fn write(&mut self, bytes: &[u8], salt: u64) -> bool {
+        let Some(path) = self.path.as_deref().filter(|_| !self.degraded) else {
+            return false;
+        };
+        match self.retry.write_cycle(path, bytes, salt) {
+            Ok(()) => {
+                self.written += 1;
+                self.consecutive = 0;
+                true
+            }
+            Err(e) => {
+                self.failures += 1;
+                self.consecutive += 1;
+                faults::note_checkpoint_failure();
+                diag!(
+                    Level::Warn,
+                    "checkpoint write to {} failed after {} attempt(s): {e}; run continues",
+                    path.display(),
+                    self.retry.max_attempts.max(1)
+                );
+                if self.consecutive >= self.retry.degrade_after.max(1) {
+                    self.degraded = true;
+                    faults::note_checkpoint_degraded();
+                    diag!(
+                        Level::Warn,
+                        "disabling checkpoints after {} consecutive failed cycles; \
+                         run continues without crash protection",
+                        self.consecutive
+                    );
+                }
+                false
+            }
+        }
+    }
+
+    /// Deletes the checkpoint once its run has completed: a finished run
+    /// must not leave one behind, since its presence is the "work
+    /// remains" signal for a resume.
+    ///
+    /// # Errors
+    /// [`HarnessError::Io`] when an existing checkpoint cannot be removed.
+    pub fn complete(&self) -> Result<(), HarnessError> {
+        let Some(path) = &self.path else {
+            return Ok(());
+        };
+        match std::fs::remove_file(path) {
+            Ok(()) => Ok(()),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
+            Err(e) => Err(io_err(path, e)),
+        }
+    }
+
+    /// Checkpoints committed to disk.
+    pub fn written(&self) -> u64 {
+        self.written
+    }
+
+    /// Write cycles that failed even after retries.
+    pub fn failures(&self) -> u64 {
+        self.failures
+    }
+
+    /// Whether checkpointing disabled itself after repeated failures.
+    pub fn degraded(&self) -> bool {
+        self.degraded
+    }
+}
+
+/// Where [`drive`] starts the engine.
+#[derive(Debug, Clone, Copy)]
+pub enum Start<'a> {
+    /// A fresh run from `t = 0`.
+    Fresh,
+    /// From the plan's checkpoint file when one exists, else fresh.
+    Resume,
+    /// From an in-memory snapshot (a repro bundle's last checkpoint).
+    Snapshot(&'a Snapshot),
+}
+
 /// Cooperative limits, checked between chunks (and the panic injection,
 /// checked per event so it is exact).
 #[derive(Debug, Default)]
@@ -239,7 +386,7 @@ pub struct RunReport {
     pub end: RunEnd,
     /// Total engine events executed (including any resumed-from prefix).
     pub events: u64,
-    /// Whether the run started from an existing checkpoint.
+    /// Whether the run started from a checkpoint (file or snapshot).
     pub resumed: bool,
     /// Checkpoints written to disk.
     pub checkpoints: u64,
@@ -260,8 +407,7 @@ pub struct RunReport {
 ///
 /// `hooks` supplies the scenario hook: called once for a fresh start or a
 /// restore (the engine consumes the box), so pass a factory, not a value.
-/// With `resume` set and the plan's path present on disk, the run picks up
-/// from that checkpoint; otherwise it starts fresh. On a non-`Completed`
+/// `start` picks the starting state (see [`Start`]). On a non-`Completed`
 /// end a final checkpoint is written (when a path is configured) so the
 /// next invocation loses no work.
 ///
@@ -285,7 +431,7 @@ pub fn drive(
     cfg: DesConfig,
     hook_factory: Option<&dyn Fn() -> Box<dyn ScenarioHook>>,
     plan: Option<&CheckpointPlan>,
-    resume: bool,
+    start: Start<'_>,
     limits: &RunLimits,
     cancel: Option<&AtomicBool>,
     mut on_snapshot: Option<&mut dyn FnMut(&Snapshot)>,
@@ -298,30 +444,23 @@ pub fn drive(
             ));
         }
     }
-    let checkpoint_path = plan.and_then(|p| p.path.as_deref());
-    // A crash between "write <path>.tmp" and "rename over <path>" leaves a
-    // partial temp file behind. It is never a valid resume source (the
-    // rename is the commit point), so clean it up rather than letting the
-    // next atomic write trip over it or an operator mistake it for state.
-    if let Some(path) = checkpoint_path {
-        clean_stale_tmp(path);
-    }
-    let existing = resume
-        .then(|| checkpoint_path.filter(|p| p.exists()))
-        .flatten();
-
-    let mut sim = match existing {
-        Some(path) => {
-            let snap = Snapshot::read_file(path)?;
-            match hook_factory {
-                Some(make) => Simulation::restore_with_hook(cfg, &snap, make())?,
-                None => Simulation::restore(cfg, &snap)?,
-            }
-        }
-        None => match hook_factory {
-            Some(make) => Simulation::with_hook(cfg, make())?,
-            None => Simulation::new(cfg)?,
-        },
+    let mut ckpt = Checkpointer::new(
+        plan.and_then(|p| p.path.clone()),
+        plan.map_or_else(RetryPolicy::default, |p| p.retry),
+    );
+    let on_disk = match start {
+        Start::Resume => ckpt.load()?.map(|b| Snapshot::from_bytes(&b)).transpose()?,
+        _ => None,
+    };
+    let from = match start {
+        Start::Snapshot(snap) => Some(snap),
+        _ => on_disk.as_ref(),
+    };
+    let mut sim = match (from, hook_factory) {
+        (Some(snap), Some(make)) => Simulation::restore_with_hook(cfg, snap, make())?,
+        (Some(snap), None) => Simulation::restore(cfg, snap)?,
+        (None, Some(make)) => Simulation::with_hook(cfg, make())?,
+        (None, None) => Simulation::new(cfg)?,
     };
     if let Some(probe) = probe {
         sim.attach_probe(probe);
@@ -329,74 +468,31 @@ pub fn drive(
     if limits.profile {
         sim.enable_profiler(Profiler::calibrated());
     }
-    let resumed = existing.is_some();
+    let resumed = from.is_some();
     let chunk = plan.map_or(u64::MAX, |p| p.every_events);
-    let retry = plan.map_or_else(RetryPolicy::default, |p| p.retry);
-    let mut checkpoints = 0u64;
-    let mut checkpoint_failures = 0u64;
-    let mut consecutive_failures = 0u32;
-    let mut degraded = false;
     let mut next_checkpoint = sim.events().saturating_add(chunk);
     let drive_start = Instant::now();
 
-    // Checkpointing is a pure observer of the run: a failed write must
-    // never change the result, so write failures warn (after the retry
-    // policy's backed-off attempts) instead of propagating, and after
-    // `degrade_after` consecutive failed cycles the driver gives up on
-    // disk entirely and lets the run finish on in-memory state.
-    let take_snapshot = |sim: &mut Simulation,
-                         on_snapshot: &mut Option<&mut dyn FnMut(&Snapshot)>,
-                         checkpoint_failures: &mut u64,
-                         consecutive_failures: &mut u32,
-                         degraded: &mut bool| {
+    let mut take_snapshot = |sim: &mut Simulation, ckpt: &mut Checkpointer| {
         let started = Instant::now();
         let snap = sim.snapshot();
         let mut encode_ns = started.elapsed().as_nanos() as u64;
         if let Some(cb) = on_snapshot.as_mut() {
             cb(&snap);
         }
-        if *degraded {
-            return false;
+        if !ckpt.active() {
+            return;
         }
-        if let Some(path) = checkpoint_path {
-            let encode_started = Instant::now();
-            let bytes = snap.to_bytes();
-            encode_ns += encode_started.elapsed().as_nanos() as u64;
-            sim.profiler_add(ProfPhase::SnapshotEncode, encode_ns);
-            let salt = snap.events() ^ 0x5eed_c0de;
-            match retry.write_cycle(path, &bytes, salt) {
-                Ok(()) => {
-                    *consecutive_failures = 0;
-                    let micros = started.elapsed().as_micros() as u64;
-                    sim.note_snapshot(bytes.len() as u64, micros);
-                    sim.emit_span("checkpoint", micros);
-                    sim.emit_flight(FlightKind::Checkpoint, bytes.len() as u64, 0);
-                    return true;
-                }
-                Err(e) => {
-                    *checkpoint_failures += 1;
-                    *consecutive_failures += 1;
-                    faults::note_checkpoint_failure();
-                    diag!(
-                        Level::Warn,
-                        "checkpoint cycle at event {} failed after {} attempt(s): {e}; run continues",
-                        snap.events(),
-                        retry.max_attempts.max(1)
-                    );
-                    if *consecutive_failures >= retry.degrade_after.max(1) {
-                        *degraded = true;
-                        faults::note_checkpoint_degraded();
-                        diag!(
-                            Level::Warn,
-                            "disabling checkpoints after {} consecutive failed cycles; \
-                             run continues without crash protection",
-                            consecutive_failures
-                        );
-                    }
-                }
-            }
+        let encode_started = Instant::now();
+        let bytes = snap.to_bytes();
+        encode_ns += encode_started.elapsed().as_nanos() as u64;
+        sim.profiler_add(ProfPhase::SnapshotEncode, encode_ns);
+        if ckpt.write(&bytes, snap.events() ^ 0x5eed_c0de) {
+            let micros = started.elapsed().as_micros() as u64;
+            sim.note_snapshot(bytes.len() as u64, micros);
+            sim.emit_span("checkpoint", micros);
+            sim.emit_flight(FlightKind::Checkpoint, bytes.len() as u64, 0);
         }
-        false
     };
 
     let end = loop {
@@ -420,68 +516,32 @@ pub fn drive(
             break RunEnd::Completed;
         }
         if sim.events() >= next_checkpoint {
-            if take_snapshot(
-                &mut sim,
-                &mut on_snapshot,
-                &mut checkpoint_failures,
-                &mut consecutive_failures,
-                &mut degraded,
-            ) {
-                checkpoints += 1;
-            }
+            take_snapshot(&mut sim, &mut ckpt);
             next_checkpoint = sim.events().saturating_add(chunk);
         }
     };
 
-    if end == RunEnd::Completed {
-        let events = sim.events();
-        let wall = drive_start.elapsed();
-        sim.emit_span("engine", wall.as_micros() as u64);
-        let profile = sim.profiler_table();
-        let outcome = sim.finish();
-        // A finished run must not leave a checkpoint behind: its presence
-        // is the "work remains" signal for `--resume`.
-        if let Some(path) = checkpoint_path {
-            match std::fs::remove_file(path) {
-                Ok(()) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(io_err(path, e)),
-            }
-        }
-        return Ok(RunReport {
-            outcome: Some(outcome),
-            end,
-            events,
-            resumed,
-            checkpoints,
-            checkpoint_failures,
-            degraded,
-            profile,
-            wall,
-        });
+    if end != RunEnd::Completed {
+        // Interrupted: persist the frontier so nothing is lost.
+        take_snapshot(&mut sim, &mut ckpt);
     }
-
-    // Interrupted: persist the frontier so nothing is lost.
-    if take_snapshot(
-        &mut sim,
-        &mut on_snapshot,
-        &mut checkpoint_failures,
-        &mut consecutive_failures,
-        &mut degraded,
-    ) {
-        checkpoints += 1;
-    }
+    let events = sim.events();
     let wall = drive_start.elapsed();
     sim.emit_span("engine", wall.as_micros() as u64);
+    let profile = sim.profiler_table();
+    let outcome = (end == RunEnd::Completed).then(|| sim.finish());
+    if outcome.is_some() {
+        ckpt.complete()?;
+    }
     Ok(RunReport {
-        outcome: None,
+        outcome,
         end,
-        events: sim.events(),
+        events,
         resumed,
-        checkpoints,
-        checkpoint_failures,
-        degraded,
-        profile: sim.profiler_table(),
+        checkpoints: ckpt.written(),
+        checkpoint_failures: ckpt.failures(),
+        degraded: ckpt.degraded(),
+        profile,
         wall,
     })
 }
@@ -520,7 +580,17 @@ mod tests {
             max_events: Some(333),
             ..Default::default()
         };
-        let first = drive(cfg(5), None, Some(&plan), true, &limits, None, None, None).unwrap();
+        let first = drive(
+            cfg(5),
+            None,
+            Some(&plan),
+            Start::Resume,
+            &limits,
+            None,
+            None,
+            None,
+        )
+        .unwrap();
         assert_eq!(first.end, RunEnd::EventBudget);
         assert!(first.outcome.is_none());
         assert!(path.exists(), "interrupted run must leave a checkpoint");
@@ -529,7 +599,7 @@ mod tests {
             cfg(5),
             None,
             Some(&plan),
-            true,
+            Start::Resume,
             &RunLimits::default(),
             None,
             None,
@@ -564,7 +634,17 @@ mod tests {
             max_events: Some(333),
             ..Default::default()
         };
-        let first = drive(cfg(11), None, Some(&plan), true, &limits, None, None, None).unwrap();
+        let first = drive(
+            cfg(11),
+            None,
+            Some(&plan),
+            Start::Resume,
+            &limits,
+            None,
+            None,
+            None,
+        )
+        .unwrap();
         assert_eq!(first.end, RunEnd::EventBudget);
         assert!(path.exists());
 
@@ -578,7 +658,7 @@ mod tests {
             cfg(11),
             None,
             Some(&plan),
-            true,
+            Start::Resume,
             &RunLimits::default(),
             None,
             None,
@@ -601,7 +681,7 @@ mod tests {
             cfg(6),
             None,
             None,
-            false,
+            Start::Fresh,
             &RunLimits::default(),
             Some(&cancel),
             None,
@@ -628,7 +708,7 @@ mod tests {
             cfg(7),
             None,
             Some(&plan),
-            false,
+            Start::Fresh,
             &RunLimits::default(),
             None,
             Some(&mut observe),
@@ -648,7 +728,7 @@ mod tests {
             ..Default::default()
         };
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            drive(cfg(8), None, None, false, &limits, None, None, None)
+            drive(cfg(8), None, None, Start::Fresh, &limits, None, None, None)
         }));
         let msg = *result.unwrap_err().downcast::<String>().unwrap();
         assert!(msg.contains("injected panic at event 50"), "{msg}");
@@ -662,12 +742,12 @@ mod tests {
             profile: true,
             ..Default::default()
         };
-        let profiled = drive(cfg(9), None, None, false, &limits, None, None, None).unwrap();
+        let profiled = drive(cfg(9), None, None, Start::Fresh, &limits, None, None, None).unwrap();
         let bare = drive(
             cfg(9),
             None,
             None,
-            false,
+            Start::Fresh,
             &RunLimits::default(),
             None,
             None,
@@ -697,7 +777,7 @@ mod tests {
                 cfg(9),
                 None,
                 Some(&plan),
-                false,
+                Start::Fresh,
                 &RunLimits::default(),
                 None,
                 None,
@@ -744,7 +824,7 @@ mod tests {
             cfg(11),
             None,
             Some(&plan),
-            false,
+            Start::Fresh,
             &RunLimits::default(),
             None,
             None,

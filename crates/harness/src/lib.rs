@@ -6,7 +6,11 @@
 //!
 //! * [`checkpoint::drive`] — a resumable run driver: step in chunks,
 //!   checkpoint atomically between chunks, pick up from the checkpoint
-//!   after a crash, and honor event/wall-clock budgets cooperatively.
+//!   (or an in-memory snapshot) after a crash, and honor event/wall-clock
+//!   budgets cooperatively.
+//! * [`checkpoint::Checkpointer`] — the one checkpoint write/restore
+//!   policy (atomic write, retry with backoff, degrade, restore, delete on
+//!   completion), shared by `drive` and the hybrid driver's loops.
 //! * [`supervisor::run_sweep`] — replicate/parameter-grid sweeps where
 //!   every cell runs behind `catch_unwind` with a watchdog; panicking
 //!   cells are retried with bounded backoff and then **quarantined**
@@ -36,7 +40,8 @@ pub mod supervisor;
 
 pub use bundle::{config_from_json, config_to_json, load_trace, ReproBundle, ScenarioRef};
 pub use checkpoint::{
-    atomic_write, clean_stale_tmp, drive, CheckpointPlan, RetryPolicy, RunEnd, RunLimits, RunReport,
+    atomic_write, clean_stale_tmp, drive, CheckpointPlan, Checkpointer, RetryPolicy, RunEnd,
+    RunLimits, RunReport, Start,
 };
 pub use error::HarnessError;
 pub use manifest::{CellRecord, CellStatus, ManifestWriter};

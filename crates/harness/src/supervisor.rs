@@ -17,7 +17,7 @@
 //! about an attempt, not about the configuration).
 
 use crate::bundle::{ReproBundle, ScenarioRef};
-use crate::checkpoint::{drive, CheckpointPlan, RunEnd, RunLimits};
+use crate::checkpoint::{drive, CheckpointPlan, RunEnd, RunLimits, Start};
 use crate::error::HarnessError;
 use crate::manifest::{self, CellRecord, CellStatus, ManifestWriter};
 use btfluid_des::{Counters, DesConfig, Probe, SimOutcome};
@@ -414,47 +414,30 @@ fn run_attempt(
         };
         move || {
             let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let hook_factory = match &cell.scenario {
-                    None => None,
-                    Some(sref) => {
-                        // Resolve eagerly so a bad reference is a typed
-                        // error, then rebuild per restore inside drive.
-                        sref.build_hook()?;
-                        Some(sref)
-                    }
-                };
-                match hook_factory {
-                    None => drive(
-                        cell.cfg.clone(),
-                        None,
-                        Some(&plan),
-                        false,
-                        &limits,
-                        Some(&cancel),
-                        Some(&mut |snap: &btfluid_des::Snapshot| {
-                            *last_snap.lock().unwrap() = Some(snap.to_bytes());
-                        }),
-                        Some(Box::new(FanoutProbe::new(vec![
-                            Box::new(CounterCapture(Arc::clone(&captured))),
-                            Box::new(RecorderProbe::new(Arc::clone(&flight))),
-                        ]))),
-                    ),
-                    Some(sref) => drive(
-                        cell.cfg.clone(),
-                        Some(&|| sref.build_hook().expect("reference resolved above")),
-                        Some(&plan),
-                        false,
-                        &limits,
-                        Some(&cancel),
-                        Some(&mut |snap: &btfluid_des::Snapshot| {
-                            *last_snap.lock().unwrap() = Some(snap.to_bytes());
-                        }),
-                        Some(Box::new(FanoutProbe::new(vec![
-                            Box::new(CounterCapture(Arc::clone(&captured))),
-                            Box::new(RecorderProbe::new(Arc::clone(&flight))),
-                        ]))),
-                    ),
+                // Resolve eagerly so a bad reference is a typed error,
+                // then rebuild per restore inside drive.
+                if let Some(sref) = &cell.scenario {
+                    sref.build_hook()?;
                 }
+                let make_hook = cell
+                    .scenario
+                    .as_ref()
+                    .map(|sref| move || sref.build_hook().expect("reference resolved above"));
+                drive(
+                    cell.cfg.clone(),
+                    make_hook.as_ref().map(|f| f as &dyn Fn() -> _),
+                    Some(&plan),
+                    Start::Fresh,
+                    &limits,
+                    Some(&cancel),
+                    Some(&mut |snap: &btfluid_des::Snapshot| {
+                        *last_snap.lock().unwrap() = Some(snap.to_bytes());
+                    }),
+                    Some(Box::new(FanoutProbe::new(vec![
+                        Box::new(CounterCapture(Arc::clone(&captured))),
+                        Box::new(RecorderProbe::new(Arc::clone(&flight))),
+                    ]))),
+                )
             }));
             // The receiver may have given up (watchdog); ignore send errors.
             let _ = tx.send(run);

@@ -5,9 +5,10 @@
 
 use btfluid_des::{DesConfig, SchemeKind, Simulation};
 use btfluid_harness::{
-    checkpoint, drive, manifest, CellRecord, CellStatus, CheckpointPlan, HarnessError,
-    ManifestWriter, ReproBundle, RetryPolicy, RunEnd, RunLimits,
+    checkpoint, drive, manifest, CellRecord, CellStatus, CheckpointPlan, Checkpointer,
+    HarnessError, ManifestWriter, ReproBundle, RetryPolicy, RunEnd, RunLimits, Start,
 };
+use btfluid_hybrid::{amplified_flash_crowd, HybridConfig, HybridRunner};
 use btfluid_telemetry::faults::{self, FaultKind, FaultRule, FaultScript, FaultSite};
 use std::path::PathBuf;
 
@@ -62,7 +63,7 @@ fn injected_faults_degrade_gracefully_and_never_change_results() {
         cfg(21),
         None,
         Some(&plan(Some(path.clone()))),
-        false,
+        Start::Fresh,
         &RunLimits::default(),
         None,
         None,
@@ -97,7 +98,7 @@ fn injected_faults_degrade_gracefully_and_never_change_results() {
         cfg(22),
         None,
         Some(&plan(Some(path.clone()))),
-        false,
+        Start::Fresh,
         &RunLimits::default(),
         None,
         None,
@@ -126,7 +127,7 @@ fn injected_faults_degrade_gracefully_and_never_change_results() {
         cfg(23),
         None,
         Some(&plan(Some(path.clone()))),
-        false,
+        Start::Fresh,
         &RunLimits::default(),
         None,
         None,
@@ -220,4 +221,53 @@ fn injected_faults_degrade_gracefully_and_never_change_results() {
     let on_disk = std::fs::read(&path).unwrap();
     assert_eq!(on_disk.len(), 10);
     assert_ne!(on_disk, b"0123456789", "corrupt write must flip a byte");
+
+    // --- 7. Hybrid checkpoints follow the same policy: under permanent
+    // ENOSPC the hybrid loop's Checkpointer degrades after
+    // `degrade_after` failed cycles, and the class means stay
+    // bit-identical to an unarmed run.
+    let hybrid = HybridConfig {
+        program: amplified_flash_crowd(512.0, 0.005),
+        scheme: SchemeKind::Mtsd,
+        seed: 21,
+        tol: 0.1,
+        aggregate: false,
+    };
+    let unarmed = HybridRunner::run(hybrid.clone()).unwrap();
+    let path = tmp("degrade.hsnap");
+    let _ = std::fs::remove_file(&path);
+    let degraded_before = faults::checkpoint_degraded_count();
+    faults::arm(FaultScript {
+        rules: vec![rule(
+            FaultSite::CheckpointWrite,
+            FaultKind::Enospc,
+            0,
+            u64::MAX,
+        )],
+    });
+    let mut runner = HybridRunner::new(hybrid).unwrap();
+    let mut ckpt = Checkpointer::new(Some(path.clone()), RetryPolicy::immediate());
+    let mut boundaries = 0u64;
+    while runner.step_boundary().unwrap() {
+        boundaries += 1;
+        if ckpt.active() {
+            ckpt.write(&runner.snapshot(), boundaries);
+        }
+    }
+    faults::disarm();
+    assert!(
+        ckpt.degraded(),
+        "permanent failure must disable checkpoints"
+    );
+    assert_eq!(ckpt.written(), 0);
+    assert_eq!(
+        ckpt.failures(),
+        u64::from(RetryPolicy::immediate().degrade_after)
+    );
+    assert!(faults::checkpoint_degraded_count() > degraded_before);
+    assert!(!path.exists());
+    let armed = runner.finish();
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&unarmed.class_means), bits(&armed.class_means));
+    assert_eq!(unarmed, armed);
 }

@@ -18,7 +18,8 @@
 
 use crate::handoff::{FluidModel, HandoffRecord};
 use crate::policy::{Regime, SwitchPolicy};
-use btfluid_des::{DesConfig, DesError, ScenarioHook, SchemeKind, Simulation};
+use btfluid_des::codec::Writer;
+use btfluid_des::{DesConfig, DesError, ScenarioHook, SchemeKind, Simulation, SnapshotError};
 use btfluid_numkit::dist::Exponential;
 use btfluid_numkit::rng::{SplitMix64, Xoshiro256StarStar};
 use btfluid_numkit::NumError;
@@ -80,6 +81,17 @@ impl From<NumError> for HybridError {
 impl From<DesError> for HybridError {
     fn from(e: DesError) -> Self {
         Self::Des(e)
+    }
+}
+
+/// Frame and payload errors of the shared codec. (Refusals raised while
+/// restoring the embedded engine arrive as [`HybridError::Des`].)
+impl From<SnapshotError> for HybridError {
+    fn from(e: SnapshotError) -> Self {
+        Self::Snapshot(match e {
+            SnapshotError::Corrupt(detail) => detail,
+            other => other.to_string(),
+        })
     }
 }
 
@@ -163,9 +175,9 @@ impl ScenarioHook for ShiftedHook {
     }
 
     fn hook_state(&self) -> Vec<u8> {
-        let mut state = self.inner.hook_state();
-        state.extend_from_slice(&self.offset.to_bits().to_le_bytes());
-        state
+        let mut w = Writer::from(self.inner.hook_state());
+        w.f64(self.offset);
+        w.into_bytes()
     }
 }
 

@@ -6,140 +6,99 @@
 //! (the DES layer's own v2/v3 codec, verbatim), the handoff RNG stream,
 //! the per-class integrals, and the handoff log. Boundaries, policy, and
 //! the fluid model are pure functions of the config and are rebuilt on
-//! restore; a config digest plus an FNV-1a checksum reject mismatched or
-//! torn files with typed errors. Restore-then-run is bit-identical to
+//! restore. The file is a version-4 [`btfluid_des::codec`] frame — the
+//! engine's magic, framing and FNV-1a checksum — so a config digest plus
+//! that checksum reject mismatched or torn files with typed errors, and
+//! each decoder refuses the other's versions. Restore-then-run is bit-identical to
 //! never having stopped — the same contract the engine snapshot keeps.
 
 use crate::driver::{segment_config, HybridConfig, HybridError, HybridRunner, ShiftedHook};
 use crate::handoff::HandoffRecord;
 use crate::policy::Regime;
+use btfluid_des::codec::{self, Reader, Writer};
 use btfluid_des::{Simulation, Snapshot};
 use btfluid_numkit::rng::Xoshiro256StarStar;
 
-/// Shared magic with the engine codec — the version field disambiguates.
-const MAGIC: &[u8; 4] = b"BTFS";
-/// Hybrid snapshots are version 4 (the engine owns v2/v3).
+/// Hybrid snapshots are version 4 of the shared frame (the engine owns
+/// v2/v3).
 pub const HYBRID_SNAPSHOT_VERSION: u32 = 4;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
-}
 
 /// Digest of everything that parameterizes a run. Debug formatting of the
 /// program is stable, covers every schedule/fault field, and is the same
 /// representation the scenario hook fingerprint relies on.
 fn config_digest(cfg: &HybridConfig) -> u64 {
-    let mut bytes = format!("{:?}", cfg.program).into_bytes();
-    bytes.extend_from_slice(cfg.scheme.name().as_bytes());
-    bytes.extend_from_slice(&cfg.seed.to_le_bytes());
-    bytes.extend_from_slice(&cfg.tol.to_bits().to_le_bytes());
-    bytes.push(u8::from(cfg.aggregate));
-    fnv1a(&bytes)
+    let mut w = Writer::from(format!("{:?}", cfg.program).into_bytes());
+    w.bytes(cfg.scheme.name().as_bytes());
+    w.u64(cfg.seed);
+    w.f64(cfg.tol);
+    w.bool(cfg.aggregate);
+    w.digest()
 }
 
-fn push_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+fn regime_tag(regime: Regime) -> u8 {
+    match regime {
+        Regime::Fluid => 0,
+        Regime::Discrete => 1,
+    }
 }
 
-fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+fn read_regime(r: &mut Reader) -> Result<Regime, HybridError> {
+    match r.u8()? {
+        0 => Ok(Regime::Fluid),
+        1 => Ok(Regime::Discrete),
+        other => Err(HybridError::Snapshot(format!("unknown regime tag {other}"))),
+    }
 }
 
-fn push_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], HybridError> {
-        if self.pos + n > self.buf.len() {
-            return Err(HybridError::Snapshot(format!(
-                "truncated at byte {} (wanted {n} more of {})",
-                self.pos,
-                self.buf.len()
-            )));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+/// Reads a `u32` count that must equal `expected` (`what` names it).
+fn read_count(r: &mut Reader, expected: usize, what: &str) -> Result<(), HybridError> {
+    let n = r.u32()? as usize;
+    if n != expected {
+        return Err(HybridError::Snapshot(format!(
+            "{what} {n} does not match the config's {expected}"
+        )));
     }
-
-    fn u8(&mut self) -> Result<u8, HybridError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, HybridError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, HybridError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, HybridError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
+    Ok(())
 }
 
 impl HybridRunner {
     /// Serializes the full driver state (between decision boundaries).
     pub fn snapshot(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(256);
-        out.extend_from_slice(MAGIC);
-        push_u32(&mut out, HYBRID_SNAPSHOT_VERSION);
-        push_u64(&mut out, config_digest(self.config()));
-        push_f64(&mut out, self.t);
-        out.push(match self.regime {
-            Regime::Fluid => 0,
-            Regime::Discrete => 1,
-        });
-        push_f64(&mut out, self.seg_t0);
-        push_u64(&mut out, self.seg_seed);
-        push_u64(&mut out, self.segment);
-        push_u64(&mut out, self.next_boundary as u64);
-        for w in self.rng_handoff.state() {
-            push_u64(&mut out, w);
+        let mut w = Writer::frame(HYBRID_SNAPSHOT_VERSION);
+        w.u64(config_digest(self.config()));
+        w.f64(self.t);
+        w.u8(regime_tag(self.regime));
+        w.f64(self.seg_t0);
+        w.u64(self.seg_seed);
+        w.u64(self.segment);
+        w.u64(self.next_boundary as u64);
+        for word in self.rng_handoff.state() {
+            w.u64(word);
         }
-        push_u64(&mut out, self.des_events);
-        push_u64(&mut out, self.fluid_steps);
-        push_u32(&mut out, self.integrals.len() as u32);
-        for &v in &self.integrals {
-            push_f64(&mut out, v);
+        w.u64(self.des_events);
+        w.u64(self.fluid_steps);
+        for xs in [&self.integrals, &self.fluid] {
+            w.u32(xs.len() as u32);
+            for &v in xs {
+                w.f64(v);
+            }
         }
-        push_u32(&mut out, self.fluid.len() as u32);
-        for &v in &self.fluid {
-            push_f64(&mut out, v);
-        }
-        push_u32(&mut out, self.handoffs.len() as u32);
+        w.u32(self.handoffs.len() as u32);
         for h in &self.handoffs {
-            push_f64(&mut out, h.t);
-            out.push(match h.to {
-                Regime::Fluid => 0,
-                Regime::Discrete => 1,
-            });
-            push_f64(&mut out, h.pop);
+            w.f64(h.t);
+            w.u8(regime_tag(h.to));
+            w.f64(h.pop);
         }
         match &self.sim {
             Some(sim) => {
-                out.push(1);
+                w.u8(1);
                 let engine = sim.snapshot().to_bytes();
-                push_u64(&mut out, engine.len() as u64);
-                out.extend_from_slice(&engine);
+                w.u64(engine.len() as u64);
+                w.bytes(&engine);
             }
-            None => out.push(0),
+            None => w.u8(0),
         }
-        let sum = fnv1a(&out);
-        push_u64(&mut out, sum);
-        out
+        w.seal()
     }
 
     /// Rebuilds a runner from `cfg` and a snapshot taken by an identical
@@ -147,72 +106,40 @@ impl HybridRunner {
     ///
     /// # Errors
     /// Typed [`HybridError::Snapshot`] on truncation, checksum or digest
-    /// mismatch, bad magic/version; propagates embedded-engine restore
-    /// failures.
+    /// mismatch, bad magic, or a version other than
+    /// [`HYBRID_SNAPSHOT_VERSION`] (engine v2/v3 files included);
+    /// propagates embedded-engine restore failures.
     pub fn resume(cfg: HybridConfig, bytes: &[u8]) -> Result<Self, HybridError> {
-        if bytes.len() < 20 {
-            return Err(HybridError::Snapshot("file too short".into()));
-        }
-        let (body, tail) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(tail.try_into().unwrap());
-        if fnv1a(body) != stored {
-            return Err(HybridError::Snapshot(
-                "checksum mismatch (torn write?)".into(),
-            ));
-        }
-        let mut r = Reader { buf: body, pos: 0 };
-        if r.take(4)? != MAGIC {
-            return Err(HybridError::Snapshot("bad magic".into()));
-        }
-        let version = r.u32()?;
+        let (version, mut r) = codec::open(bytes)?;
         if version != HYBRID_SNAPSHOT_VERSION {
             return Err(HybridError::Snapshot(format!(
                 "version {version}, expected {HYBRID_SNAPSHOT_VERSION}"
             )));
         }
-        let digest = r.u64()?;
-        if digest != config_digest(&cfg) {
+        if r.u64()? != config_digest(&cfg) {
             return Err(HybridError::Snapshot(
                 "config digest mismatch (snapshot from a different run)".into(),
             ));
         }
         let mut runner = Self::new(cfg)?;
         runner.t = r.f64()?;
-        runner.regime = match r.u8()? {
-            0 => Regime::Fluid,
-            1 => Regime::Discrete,
-            other => {
-                return Err(HybridError::Snapshot(format!("unknown regime tag {other}")));
-            }
-        };
+        runner.regime = read_regime(&mut r)?;
         runner.seg_t0 = r.f64()?;
         runner.seg_seed = r.u64()?;
         runner.segment = r.u64()?;
         runner.next_boundary = r.u64()? as usize;
         let mut rng_state = [0u64; 4];
-        for w in &mut rng_state {
-            *w = r.u64()?;
+        for word in &mut rng_state {
+            *word = r.u64()?;
         }
         runner.rng_handoff = Xoshiro256StarStar::from_state(rng_state);
         runner.des_events = r.u64()?;
         runner.fluid_steps = r.u64()?;
-        let n_int = r.u32()? as usize;
-        if n_int != runner.integrals.len() {
-            return Err(HybridError::Snapshot(format!(
-                "integral count {n_int} does not match K = {}",
-                runner.integrals.len()
-            )));
-        }
+        read_count(&mut r, runner.integrals.len(), "integral count")?;
         for slot in &mut runner.integrals {
             *slot = r.f64()?;
         }
-        let n_fluid = r.u32()? as usize;
-        if n_fluid != runner.fluid.len() {
-            return Err(HybridError::Snapshot(format!(
-                "fluid dim {n_fluid} does not match model dim {}",
-                runner.fluid.len()
-            )));
-        }
+        read_count(&mut r, runner.fluid.len(), "fluid dimension")?;
         for slot in &mut runner.fluid {
             *slot = r.f64()?;
         }
@@ -220,22 +147,13 @@ impl HybridRunner {
         runner.handoffs = Vec::with_capacity(n_handoffs);
         for _ in 0..n_handoffs {
             let t = r.f64()?;
-            let to = match r.u8()? {
-                0 => Regime::Fluid,
-                1 => Regime::Discrete,
-                other => {
-                    return Err(HybridError::Snapshot(format!(
-                        "unknown handoff regime tag {other}"
-                    )));
-                }
-            };
+            let to = read_regime(&mut r)?;
             let pop = r.f64()?;
             runner.handoffs.push(HandoffRecord { t, to, pop });
         }
         if r.u8()? == 1 {
             let len = r.u64()? as usize;
-            let engine_bytes = r.take(len)?;
-            let snap = Snapshot::from_bytes(engine_bytes)
+            let snap = Snapshot::from_bytes(r.take(len)?)
                 .map_err(|e| HybridError::Snapshot(format!("embedded engine: {e}")))?;
             let seg_cfg = segment_config(runner.config(), runner.seg_t0, runner.seg_seed)?;
             let hook = Box::new(ShiftedHook::new(
@@ -286,6 +204,25 @@ mod tests {
             HybridRunner::resume(other, &bytes),
             Err(HybridError::Snapshot(_))
         ));
+        // Engine v2/v3 frames share the magic but not the version.
+        for aggregate in [false, true] {
+            let mut engine = Simulation::new(btfluid_des::DesConfig {
+                aggregate,
+                ..segment_config(&cfg(), 0.0, 5).unwrap()
+            })
+            .unwrap();
+            assert!(engine.step().unwrap());
+            let engine = engine.snapshot().to_bytes();
+            assert!(matches!(
+                HybridRunner::resume(cfg(), &engine),
+                Err(HybridError::Snapshot(_))
+            ));
+        }
+        // ...and the engine decoder refuses a hybrid frame by its version.
+        assert_eq!(
+            Snapshot::from_bytes(&bytes).unwrap_err(),
+            btfluid_des::SnapshotError::UnsupportedVersion(HYBRID_SNAPSHOT_VERSION)
+        );
         // The pristine bytes restore fine.
         assert!(HybridRunner::resume(cfg(), &bytes).is_ok());
     }

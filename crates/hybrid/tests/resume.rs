@@ -2,6 +2,7 @@
 //! boundary and resumed from its snapshot finishes bit-identical to the
 //! uninterrupted run — across regimes, schemes, and both DES rate modes.
 
+use btfluid_des::codec::fnv1a;
 use btfluid_des::SchemeKind;
 use btfluid_hybrid::{amplified_flash_crowd, HybridConfig, HybridOutcome, HybridRunner, Regime};
 
@@ -105,4 +106,40 @@ fn snapshot_of_resumed_runner_matches_original_continuation() {
     let mut third = HybridRunner::resume(c, &snap2).unwrap();
     while third.step_boundary().unwrap() {}
     assert_bit_identical(&reference, &third.finish());
+}
+
+/// The runner stepped `boundaries` decision boundaries in.
+fn stepped(cfg: HybridConfig, boundaries: usize) -> HybridRunner {
+    let mut runner = HybridRunner::new(cfg).unwrap();
+    for _ in 0..boundaries {
+        assert!(runner.step_boundary().unwrap());
+    }
+    runner
+}
+
+/// The v4 encoding itself is pinned, not just its round trip: length and
+/// FNV-1a digest of snapshots taken mid-discrete (embedding a live v2 or
+/// v3 engine) and mid-fluid. A layout change needs a version bump and new
+/// pins.
+#[test]
+fn v4_snapshot_bytes_are_pinned() {
+    let discrete_agg = stepped(cfg(SchemeKind::Mtcd, true), 1);
+    let discrete = stepped(cfg(SchemeKind::Mtsd, false), 2);
+    let mut fluid = stepped(cfg(SchemeKind::Mtcd, true), 1);
+    while fluid.regime() != Regime::Fluid {
+        assert!(fluid.step_boundary().unwrap());
+    }
+    assert!(fluid.step_boundary().unwrap());
+    assert_eq!(discrete_agg.regime(), Regime::Discrete);
+    assert_eq!(discrete.regime(), Regime::Discrete);
+    assert_eq!(fluid.regime(), Regime::Fluid);
+    let pins = [
+        (&discrete_agg, 24_556, 0x4cad_7af0_615f_9410),
+        (&discrete, 28_698, 0x6674_d900_da2d_3b40),
+        (&fluid, 383, 0x633d_c316_c9c9_b34c),
+    ];
+    for (runner, len, digest) in pins {
+        let bytes = runner.snapshot();
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (len, digest));
+    }
 }

@@ -20,6 +20,7 @@
 
 use crate::program::ScenarioProgram;
 use crate::schedule::Schedule;
+use btfluid_des::codec::Writer;
 use btfluid_des::ScenarioHook;
 use btfluid_numkit::NumError;
 use btfluid_workload::requests::FileId;
@@ -132,21 +133,21 @@ impl ScenarioHook for TraceHook {
     /// knob), so the snapshot fingerprint pins the replayed workload: a
     /// restore against a different trace is refused.
     fn hook_state(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32 + self.times.len() * 16);
-        out.extend_from_slice(b"TRHK");
-        out.extend_from_slice(&TRACE_VERSION.to_le_bytes());
-        out.extend_from_slice(&self.k.to_le_bytes());
-        out.extend_from_slice(&self.horizon.to_bits().to_le_bytes());
-        out.extend_from_slice(&(self.origin_seeds as u64).to_le_bytes());
-        out.extend_from_slice(&(self.times.len() as u64).to_le_bytes());
-        for (t, files) in self.times.iter().zip(&self.files) {
-            out.extend_from_slice(&t.to_bits().to_le_bytes());
-            out.extend_from_slice(&(files.len() as u32).to_le_bytes());
+        let mut w = Writer::with_capacity(32 + self.times.len() * 16);
+        w.bytes(b"TRHK");
+        w.u32(TRACE_VERSION);
+        w.u32(self.k);
+        w.f64(self.horizon);
+        w.u64(self.origin_seeds as u64);
+        w.u64(self.times.len() as u64);
+        for (&t, files) in self.times.iter().zip(&self.files) {
+            w.f64(t);
+            w.u32(files.len() as u32);
             for &f in files {
-                out.extend_from_slice(&f.to_le_bytes());
+                w.u16(f);
             }
         }
-        out
+        w.into_bytes()
     }
 }
 
@@ -278,6 +279,13 @@ mod tests {
         );
         assert_ne!(a.hook_state(), b.hook_state());
         assert_ne!(a.hook_state(), a.clone().with_origin_seeds(3).hook_state());
+        // The bytes themselves are pinned: snapshots of replay runs embed
+        // their fingerprint, so changing them orphans every checkpoint.
+        let state = a.with_origin_seeds(2).hook_state();
+        assert_eq!(
+            (state.len(), btfluid_des::codec::fnv1a(&state)),
+            (2692, 0xe355_e618_c105_9e95)
+        );
     }
 
     #[test]
