@@ -14,15 +14,14 @@ use btfluid_des::{
     SingleTorrentConfig, Snapshot,
 };
 use btfluid_harness as harness;
-use btfluid_harness::json::Json;
 use btfluid_hybrid::{HybridConfig, HybridRunner, Regime};
 use btfluid_scenario::{
     per_file, registry, runner, trace_program, RateMode, ScenarioProgram, ScenarioRun, TraceHook,
     TraceShaper,
 };
 use btfluid_telemetry::{
-    diag, set_level, Counters, Level, MetaField, FLIGHTREC_SCHEMA, FLIGHTREC_VERSION, TRACE_SCHEMA,
-    TRACE_VERSION,
+    diag, set_level, Counters, FlightDump, FlightKind, FlightRecord, Json, Level, OwnedSample,
+    TraceRecord, FLIGHTREC_VERSION, TRACE_VERSION,
 };
 use btfluid_workload::{fit_model, ArrivalTrace, CorrelationModel};
 use std::fs;
@@ -544,13 +543,10 @@ fn cmd_profile(opts: &Options) -> Result<(), CliError> {
     let scheme = parse_scheme(opts.get("scheme").unwrap_or("mtcd"))?;
     let cfg = spec.des_config(opts, scheme, spec.seed, 2000.0)?;
     let p = cfg.model.p();
-    // A profile segment's header carries only its label and seed.
-    let mut meta = spec.meta(format!("profile-{}", scheme.name()));
-    meta.truncate(2);
     let job = Job {
         cfg,
         hook: None,
-        meta,
+        meta: spec.meta(format!("profile-{}", scheme.name())),
     };
     let (outcome, report) = run::execute(&spec, opts, vec![job])?.remove(0);
     let wall = report.wall;
@@ -674,8 +670,8 @@ fn cmd_scenario(rest: &[String]) -> Result<(), CliError> {
         cfg.adapt = *adapt;
         spec.apply(&mut cfg);
         let mut meta = spec.meta(label.clone());
-        meta.insert(0, ("scenario", MetaField::Str(name.clone())));
-        meta.insert(3, ("scale", MetaField::F64(scale)));
+        meta.insert(0, ("scenario", Json::Str(name.clone())));
+        meta.insert(3, ("scale", Json::num_f64(scale)));
         jobs.push(Job {
             cfg,
             hook: Some(&hook),
@@ -840,13 +836,13 @@ fn run_scenario_hybrid(
 
     if let Some(sink) = &outputs.sink {
         run::lock(sink).meta(&[
-            ("scenario", MetaField::Str(name.to_string())),
-            ("label", MetaField::Str(format!("hybrid-{}", scheme.name()))),
-            ("seed", MetaField::U64(seed)),
-            ("scale", MetaField::F64(scale)),
-            ("hybrid", MetaField::Bool(true)),
-            ("hybrid_tol", MetaField::F64(tol)),
-            ("aggregate", MetaField::Bool(aggregate)),
+            ("scenario", Json::Str(name.to_string())),
+            ("label", Json::Str(format!("hybrid-{}", scheme.name()))),
+            ("seed", Json::num_u64(seed)),
+            ("scale", Json::num_f64(scale)),
+            ("hybrid", Json::Bool(true)),
+            ("hybrid_tol", Json::num_f64(tol)),
+            ("aggregate", Json::Bool(aggregate)),
         ]);
         runner.attach_sink(sink.clone());
     }
@@ -1598,25 +1594,14 @@ fn repro_chaos(dir: &Path) -> Result<(), CliError> {
     ))
 }
 
-/// One `sample` record from a trace, decoded.
-struct TraceSample {
-    t: f64,
-    events: u64,
-    downloaders: Vec<u64>,
-    download_pairs: Vec<u64>,
-    seed_pairs: Vec<u64>,
-    rho_mean: Option<f64>,
-    delta_mean: Option<f64>,
-    counters: Counters,
-}
-
 /// One trace segment: a `meta` record plus every `sample`/`span`/`end`
 /// record up to the next `meta` (one engine run).
+#[derive(Default)]
 struct TraceSegment {
     label: String,
     exact_rates: bool,
     aggregate: bool,
-    samples: Vec<TraceSample>,
+    samples: Vec<OwnedSample>,
     /// `(name, micros, t)` — `t` is the simulated time the span was
     /// emitted at (present on hybrid handoff spans, absent on plain ones).
     spans: Vec<(String, u64, Option<f64>)>,
@@ -1676,29 +1661,17 @@ impl TraceSegment {
             // marginal updates-per-event cost is NOT normalized by live
             // download pairs: on a healthy run it is flat on its own, and
             // growth means group invalidation is fanning out.
-            let mut costs = Vec::new();
-            for w in self.samples.windows(2) {
-                let de = w[1].events.saturating_sub(w[0].events);
-                let dr = w[1]
-                    .counters
-                    .agg_rate_updates
-                    .saturating_sub(w[0].counters.agg_rate_updates);
-                if de > 0 {
-                    costs.push(dr as f64 / de as f64);
-                }
-            }
-            let third = costs.len() / 3;
-            if third >= 8 {
-                let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
-                let early = mean(&costs[..third]);
-                let late = mean(&costs[costs.len() - third..]);
-                if early > 0.0 && late > 4.0 * early {
-                    out.push(format!(
-                        "{label}: group-rate cost drift (per-event aggregate \
-                         update cost grew {:.1}× over the run in aggregate mode)",
-                        late / early
-                    ));
-                }
+            let updates = |a: &OwnedSample, b: &OwnedSample| {
+                let de = b.events.saturating_sub(a.events);
+                let dr =
+                    u64::saturating_sub(b.counters.agg_rate_updates, a.counters.agg_rate_updates);
+                (de > 0).then(|| dr as f64 / de as f64)
+            };
+            if let Some(growth) = cost_drift(&self.samples, updates) {
+                out.push(format!(
+                    "{label}: group-rate cost drift (per-event aggregate \
+                     update cost grew {growth:.1}× over the run in aggregate mode)"
+                ));
             }
             let c = self.final_counters();
             if c.rate_recomputes > 0 {
@@ -1717,30 +1690,18 @@ impl TraceSegment {
             // more pairs per event than MTSD by an order of magnitude —
             // but a cost that *grows* several-fold over the run's own
             // history means lazy invalidation is degenerating.
-            let mut costs = Vec::new();
-            for w in self.samples.windows(2) {
-                let de = w[1].events.saturating_sub(w[0].events);
-                let dr = w[1]
-                    .counters
-                    .rate_recomputes
-                    .saturating_sub(w[0].counters.rate_recomputes);
-                let pairs: u64 = w[1].download_pairs.iter().sum();
-                if de > 0 && pairs > 0 {
-                    costs.push(dr as f64 / de as f64 / pairs as f64);
-                }
-            }
-            let third = costs.len() / 3;
-            if third >= 8 {
-                let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
-                let early = mean(&costs[..third]);
-                let late = mean(&costs[costs.len() - third..]);
-                if early > 0.0 && late > 4.0 * early {
-                    out.push(format!(
-                        "{label}: rate-cache cost drift (per-event recompute cost \
-                         grew {:.1}× over the run in incremental mode)",
-                        late / early
-                    ));
-                }
+            let recomputes = |a: &OwnedSample, b: &OwnedSample| {
+                let de = b.events.saturating_sub(a.events);
+                let dr =
+                    u64::saturating_sub(b.counters.rate_recomputes, a.counters.rate_recomputes);
+                let pairs: usize = b.download_pairs.iter().sum();
+                (de > 0 && pairs > 0).then(|| dr as f64 / de as f64 / pairs as f64)
+            };
+            if let Some(growth) = cost_drift(&self.samples, recomputes) {
+                out.push(format!(
+                    "{label}: rate-cache cost drift (per-event recompute cost \
+                     grew {growth:.1}× over the run in incremental mode)"
+                ));
             }
         }
         if self.samples.len() >= 3 {
@@ -1796,29 +1757,24 @@ impl TraceSegment {
     }
 }
 
-/// Decodes a trace record's embedded `counters` object (absent fields
-/// read as zero, tolerating older traces).
-fn trace_counters(v: Option<&Json>) -> Counters {
-    let g = |k: &str| v.and_then(|c| c.get(k)).and_then(Json::as_u64).unwrap_or(0);
-    Counters {
-        events_popped: g("events_popped"),
-        stale_discards: g("stale_discards"),
-        heap_peak: g("heap_peak"),
-        rate_recomputes: g("rate_recomputes"),
-        rate_clean_hits: g("rate_clean_hits"),
-        snapshots_taken: g("snapshots_taken"),
-        snapshot_bytes: g("snapshot_bytes"),
-        snapshot_micros: g("snapshot_micros"),
-        agg_rate_updates: g("agg_rate_updates"),
-        agg_samples: g("agg_samples"),
+/// How far a per-event cost grew from the first third of the sample
+/// windows to the last, when it grew more than 4×; `cost` skips windows
+/// that carry no signal. Needs at least 24 costed windows.
+fn cost_drift(
+    samples: &[OwnedSample],
+    cost: impl Fn(&OwnedSample, &OwnedSample) -> Option<f64>,
+) -> Option<f64> {
+    let costs: Vec<f64> = samples
+        .windows(2)
+        .filter_map(|w| cost(&w[0], &w[1]))
+        .collect();
+    let third = costs.len() / 3;
+    if third < 8 {
+        return None;
     }
-}
-
-/// Decodes a JSON array of non-negative integers.
-fn trace_u64_arr(v: Option<&Json>) -> Vec<u64> {
-    v.and_then(Json::as_arr)
-        .map(|xs| xs.iter().map(|x| x.as_u64().unwrap_or(0)).collect())
-        .unwrap_or_default()
+    let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
+    let (early, late) = (mean(&costs[..third]), mean(&costs[costs.len() - third..]));
+    (early > 0.0 && late > 4.0 * early).then(|| late / early)
 }
 
 /// Per-class trajectory export: one CSV row per sample, classes padded
@@ -1831,14 +1787,14 @@ fn trajectories_csv(segments: &[TraceSegment]) -> String {
         .max()
         .unwrap_or(0);
     let mut out = String::from("run,t,events,rho_mean,delta_mean");
-    for i in 1..=k {
-        out.push_str(&format!(",downloaders_{i}"));
-    }
-    for i in 1..=k {
-        out.push_str(&format!(",seed_pairs_{i}"));
+    for column in ["downloaders", "seed_pairs"] {
+        for i in 1..=k {
+            out.push_str(&format!(",{column}_{i}"));
+        }
     }
     out.push('\n');
-    let opt = |v: Option<f64>| v.map(|x| format!("{x}")).unwrap_or_default();
+    // A mean the trace could not carry (written as null) prints empty.
+    let opt = |x: f64| if x.is_nan() { "".into() } else { x.to_string() };
     for seg in segments {
         for s in &seg.samples {
             out.push_str(&format!(
@@ -1849,16 +1805,12 @@ fn trajectories_csv(segments: &[TraceSegment]) -> String {
                 opt(s.rho_mean),
                 opt(s.delta_mean)
             ));
-            for i in 0..k {
-                out.push(',');
-                if let Some(d) = s.downloaders.get(i) {
-                    out.push_str(&d.to_string());
-                }
-            }
-            for i in 0..k {
-                out.push(',');
-                if let Some(d) = s.seed_pairs.get(i) {
-                    out.push_str(&d.to_string());
+            for per_class in [&s.downloaders, &s.seed_pairs] {
+                for i in 0..k {
+                    out.push(',');
+                    if let Some(d) = per_class.get(i) {
+                        out.push_str(&d.to_string());
+                    }
                 }
             }
             out.push('\n');
@@ -1870,69 +1822,51 @@ fn trajectories_csv(segments: &[TraceSegment]) -> String {
 /// Summarizes a `flightrec v1` dump: record mix, last handoff, last
 /// checkpoint, and a staleness flag when the newest record predates the
 /// failure time stamped into the meta line.
-fn inspect_flightrec(path: &str, body: &str, opts: &Options) -> Result<(), CliError> {
-    let mut lines = body.lines().filter(|l| !l.trim().is_empty());
-    let meta = Json::parse(lines.next().expect("caller checked the meta line"))
-        .map_err(|e| format!("inspect: {path}:1: {e}"))?;
-    let version = meta.get("version").and_then(Json::as_u64).unwrap_or(0);
-    if version != u64::from(FLIGHTREC_VERSION) {
+fn inspect_flightrec(path: &str, dump: &FlightDump, opts: &Options) -> Result<(), CliError> {
+    if dump.version != u64::from(FLIGHTREC_VERSION) {
         diag!(
             Level::Warn,
-            "inspect: {path}: flightrec version {version}; this build reads \
-             v{FLIGHTREC_VERSION}"
+            "inspect: {path}: flightrec version {}; this build reads v{FLIGHTREC_VERSION}",
+            dump.version
         );
     }
-    let capacity = meta.get("capacity").and_then(Json::as_u64).unwrap_or(0);
-    let total = meta.get("total").and_then(Json::as_u64).unwrap_or(0);
-    let dropped = meta.get("dropped").and_then(Json::as_u64).unwrap_or(0);
-    let failure_t = meta.get("failure_t").and_then(Json::as_f64);
 
-    // (kind, count, last t, last events, last a, last b) per record kind,
-    // in first-seen order; the dump is oldest-first so "last" is newest.
-    let mut mix: Vec<(String, u64, f64, u64, u64, u64)> = Vec::new();
+    // (count, newest record) per record kind, in first-seen order; the
+    // dump is oldest-first so the last one seen is the newest.
+    let mut mix: Vec<(u64, FlightRecord)> = Vec::new();
     let mut newest_t = f64::NEG_INFINITY;
     let mut pop_codes: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
-    let mut records = 0u64;
-    for (idx, line) in lines.enumerate() {
-        let v = Json::parse(line).map_err(|e| format!("inspect: {path}:{}: {e}", idx + 2))?;
-        let Some(k) = v.get("k").and_then(Json::as_str).map(str::to_string) else {
-            return Err(format!("inspect: {path}:{}: record without 'k'", idx + 2).into());
-        };
-        let t = v.get("t").and_then(Json::as_f64).unwrap_or(f64::NAN);
-        let ev = v.get("ev").and_then(Json::as_u64).unwrap_or(0);
-        let a = v.get("a").and_then(Json::as_u64).unwrap_or(0);
-        let b = v.get("b").and_then(Json::as_u64).unwrap_or(0);
-        records += 1;
-        if t.is_finite() && t > newest_t {
-            newest_t = t;
+    for rec in &dump.records {
+        if rec.t.is_finite() && rec.t > newest_t {
+            newest_t = rec.t;
         }
-        if k == "pop" {
-            *pop_codes.entry(a).or_insert(0) += 1;
+        if rec.kind == FlightKind::EventPop {
+            *pop_codes.entry(rec.a).or_insert(0) += 1;
         }
-        match mix.iter_mut().find(|row| row.0 == k) {
-            Some(row) => {
-                row.1 += 1;
-                (row.2, row.3, row.4, row.5) = (t, ev, a, b);
-            }
-            None => mix.push((k, 1, t, ev, a, b)),
+        match mix.iter_mut().find(|(_, last)| last.kind == rec.kind) {
+            Some(row) => *row = (row.0 + 1, *rec),
+            None => mix.push((1, *rec)),
         }
     }
-
     let mut t = Table::new(
         format!(
-            "flight recording {path} — {records} of {total} record(s) \
-             retained (capacity {capacity}, dropped {dropped})"
+            "flight recording {path} — {} of {} record(s) \
+             retained (capacity {}, dropped {})",
+            dump.records.len(),
+            dump.total,
+            dump.capacity,
+            dump.dropped
         ),
         vec!["kind", "count", "last t", "last events", "last a", "last b"],
     );
-    for (k, n, last_t, last_ev, a, b) in &mix {
+    for (n, last) in &mix {
         t.push_row(vec![
-            k.clone(),
+            last.kind.name().to_string(),
             format!("{n}"),
-            format!("{last_t:.3}"),
-            format!("{last_ev}"),
-            format!("{a}"),
-            format!("{b}"),
+            format!("{:.3}", last.t),
+            format!("{}", last.events),
+            format!("{}", last.a),
+            format!("{}", last.b),
         ]);
     }
     emit(&t, opts)?;
@@ -1959,29 +1893,26 @@ fn inspect_flightrec(path: &str, body: &str, opts: &Options) -> Result<(), CliEr
     if !pops.is_empty() {
         diag!(Level::Info, "event mix: {}", pops.join(", "));
     }
-    if let Some(row) = mix.iter().find(|row| row.0 == "handoff") {
+    let last = |kind| mix.iter().map(|(_, r)| r).find(|r| r.kind == kind);
+    if let Some(r) = last(FlightKind::Handoff) {
+        let way = ["DES -> fluid", "fluid -> DES"][usize::from(r.a != 0)];
         diag!(
             Level::Info,
-            "last handoff: t = {:.3}, {} (population {})",
-            row.2,
-            if row.4 == 0 {
-                "DES -> fluid"
-            } else {
-                "fluid -> DES"
-            },
-            row.5
+            "last handoff: t = {:.3}, {way} (population {})",
+            r.t,
+            r.b
         );
     }
-    if let Some(row) = mix.iter().find(|row| row.0 == "checkpoint") {
+    if let Some(r) = last(FlightKind::Checkpoint) {
         diag!(
             Level::Info,
             "last checkpoint: t = {:.3} at {} events ({} snapshot bytes)",
-            row.2,
-            row.3,
-            row.4
+            r.t,
+            r.events,
+            r.a
         );
     }
-    if let Some(ft) = failure_t {
+    if let Some(ft) = dump.failure_t {
         // `failure_t` is parsed from a message formatted at 3 decimals,
         // so allow half an ulp of that rounding before calling it stale.
         if newest_t.is_finite() && newest_t < ft - 5e-4 {
@@ -2009,33 +1940,23 @@ fn cmd_inspect(rest: &[String]) -> Result<(), CliError> {
     let body = fs::read_to_string(path)?;
     // A flight-recorder dump leads with its own schema marker; route it
     // to the dedicated summarizer before assuming a telemetry trace.
-    if let Some(first) = body.lines().find(|l| !l.trim().is_empty()) {
-        if let Ok(head) = Json::parse(first) {
-            if head.get("schema").and_then(Json::as_str) == Some(FLIGHTREC_SCHEMA) {
-                return inspect_flightrec(path, &body, &opts);
-            }
-        }
+    if let Some(dump) = FlightDump::parse(&body).map_err(|e| format!("inspect: {path}:{e}"))? {
+        return inspect_flightrec(path, &dump, &opts);
     }
     let mut segments: Vec<TraceSegment> = Vec::new();
     for (idx, line) in body.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
+        if line.trim().is_empty() {
             continue;
         }
-        let v = Json::parse(line).map_err(|e| format!("inspect: {path}:{}: {e}", idx + 1))?;
-        let Some(kind) = v.get("kind").and_then(Json::as_str).map(str::to_string) else {
-            return Err(format!("inspect: {path}:{}: record without a kind", idx + 1).into());
-        };
-        if kind == "meta" {
-            let schema = v.get("schema").and_then(Json::as_str).unwrap_or("?");
-            if schema != TRACE_SCHEMA {
-                return Err(format!(
-                    "inspect: {path}:{}: schema '{schema}' is not '{TRACE_SCHEMA}'",
-                    idx + 1
-                )
-                .into());
-            }
-            let version = v.get("version").and_then(Json::as_u64).unwrap_or(0);
+        let record =
+            TraceRecord::parse(line).map_err(|e| format!("inspect: {path}:{}: {e}", idx + 1))?;
+        if let TraceRecord::Meta {
+            version,
+            label,
+            exact_rates,
+            aggregate,
+        } = record
+        {
             if version != u64::from(TRACE_VERSION) {
                 diag!(
                     Level::Warn,
@@ -2043,70 +1964,39 @@ fn cmd_inspect(rest: &[String]) -> Result<(), CliError> {
                 );
             }
             segments.push(TraceSegment {
-                label: v
-                    .get("label")
-                    .and_then(Json::as_str)
-                    .unwrap_or("?")
-                    .to_string(),
-                exact_rates: v
-                    .get("exact_rates")
-                    .and_then(Json::as_bool)
-                    .unwrap_or(false),
-                aggregate: v.get("aggregate").and_then(Json::as_bool).unwrap_or(false),
-                samples: Vec::new(),
-                spans: Vec::new(),
-                end: None,
+                label,
+                exact_rates,
+                aggregate,
+                ..Default::default()
             });
             continue;
         }
         let Some(seg) = segments.last_mut() else {
             return Err(format!(
-                "inspect: {path}:{}: '{kind}' record before any meta — not a btfluid trace?",
+                "inspect: {path}:{}: record before any meta — not a btfluid trace?",
                 idx + 1
             )
             .into());
         };
-        match kind.as_str() {
-            "sample" => seg.samples.push(TraceSample {
-                t: v.get("t").and_then(Json::as_f64).unwrap_or(f64::NAN),
-                events: v.get("events").and_then(Json::as_u64).unwrap_or(0),
-                downloaders: trace_u64_arr(v.get("downloaders")),
-                download_pairs: trace_u64_arr(v.get("download_pairs")),
-                seed_pairs: trace_u64_arr(v.get("seed_pairs")),
-                rho_mean: v.get("rho_mean").and_then(Json::as_f64),
-                delta_mean: v.get("delta_mean").and_then(Json::as_f64),
-                counters: trace_counters(v.get("counters")),
-            }),
-            "span" => seg.spans.push((
-                v.get("name")
-                    .and_then(Json::as_str)
-                    .unwrap_or("?")
-                    .to_string(),
-                v.get("micros").and_then(Json::as_u64).unwrap_or(0),
-                v.get("t").and_then(Json::as_f64),
-            )),
-            "end" => {
-                seg.end = Some((
-                    v.get("t").and_then(Json::as_f64).unwrap_or(f64::NAN),
-                    trace_counters(v.get("counters")),
-                ))
-            }
-            "profile" => {
-                let events = v.get("events").and_then(Json::as_u64).unwrap_or(0).max(1);
-                for ph in v.get("phases").and_then(Json::as_arr).unwrap_or(&[]) {
-                    let name = ph.get("name").and_then(Json::as_str).unwrap_or("?");
-                    let calls = ph.get("calls").and_then(Json::as_u64).unwrap_or(0);
-                    let self_ns = ph.get("self_ns").and_then(Json::as_u64).unwrap_or(0);
+        match record {
+            TraceRecord::Meta { .. } => unreachable!("handled above"),
+            TraceRecord::Sample(sample) => seg.samples.push(sample),
+            TraceRecord::Span(name, micros, t) => seg.spans.push((name, micros, t)),
+            TraceRecord::End(t, counters) => seg.end = Some((t, counters)),
+            TraceRecord::Profile(table) => {
+                let events = table.events.max(1);
+                for (name, stats) in &table.phases {
                     diag!(
                         Level::Info,
-                        "{}: profile {name}: {calls} call(s), self {:.3} ms, {:.0} ns/event",
+                        "{}: profile {name}: {} call(s), self {:.3} ms, {:.0} ns/event",
                         seg.label,
-                        self_ns as f64 / 1e6,
-                        self_ns as f64 / events as f64
+                        stats.calls,
+                        stats.self_ns as f64 / 1e6,
+                        stats.self_ns as f64 / events as f64
                     );
                 }
             }
-            other => diag!(
+            TraceRecord::Unknown(other) => diag!(
                 Level::Warn,
                 "inspect: {path}:{}: unknown record kind '{other}' (skipped)",
                 idx + 1
@@ -2614,22 +2504,21 @@ mod tests {
     fn inspect_anomaly_heuristics() {
         // One sample every 5 time units, 10 events per window, class 1
         // present throughout, class 2 present and seeding.
-        let sample = |i: u64, recomputes: u64, seed_pairs: Vec<u64>| TraceSample {
+        let sample = |i: u64, recomputes: u64, seed_pairs: Vec<usize>| OwnedSample {
             t: i as f64 * 5.0,
             events: 10 * (i + 1),
             downloaders: vec![2, 1],
             download_pairs: vec![2, 1],
             seed_pairs,
-            rho_mean: None,
-            delta_mean: None,
             counters: Counters {
                 rate_recomputes: recomputes,
                 ..Default::default()
             },
+            ..Default::default()
         };
 
         let mut recomputes = 0;
-        let bad_samples: Vec<TraceSample> = (0..30)
+        let bad_samples: Vec<OwnedSample> = (0..30)
             .map(|i| {
                 // Flat marginal cost for the first 20 windows, then a
                 // 50× blow-up — the drift detector's target.
@@ -2643,11 +2532,8 @@ mod tests {
             .collect();
         let seg = TraceSegment {
             label: "X".into(),
-            exact_rates: false,
-            aggregate: false,
             samples: bad_samples,
-            spans: Vec::new(),
-            end: None,
+            ..Default::default()
         };
         let mut out = Vec::new();
         seg.detect_anomalies(&mut out);
@@ -2661,7 +2547,7 @@ mod tests {
         // Same per-event cost in every window (large, but stable), every
         // present class eventually seeds, and the run finished.
         let mut recomputes = 0;
-        let healthy_samples: Vec<TraceSample> = (0..30)
+        let healthy_samples: Vec<OwnedSample> = (0..30)
             .map(|i| {
                 recomputes += 500;
                 sample(i, recomputes, vec![1, 1])
@@ -2669,11 +2555,9 @@ mod tests {
             .collect();
         let healthy = TraceSegment {
             label: "Y".into(),
-            exact_rates: false,
-            aggregate: false,
             samples: healthy_samples,
-            spans: Vec::new(),
             end: Some((150.0, Counters::default())),
+            ..Default::default()
         };
         let mut out = Vec::new();
         healthy.detect_anomalies(&mut out);
@@ -2685,26 +2569,25 @@ mod tests {
     /// nonzero per-peer recompute count is itself flagged.
     #[test]
     fn inspect_anomaly_heuristics_aggregate() {
-        let sample = |i: u64, agg_updates: u64, recomputes: u64| TraceSample {
+        let sample = |i: u64, agg_updates: u64, recomputes: u64| OwnedSample {
             t: i as f64 * 5.0,
             events: 10 * (i + 1),
             downloaders: vec![2, 1],
             download_pairs: vec![2, 1],
             seed_pairs: vec![1, 1],
-            rho_mean: None,
-            delta_mean: None,
             counters: Counters {
                 agg_rate_updates: agg_updates,
                 rate_recomputes: recomputes,
                 ..Default::default()
             },
+            ..Default::default()
         };
 
         // Flat group-update cost for 20 windows, then a 50× blow-up:
         // invisible to the incremental heuristic (rate_recomputes stays
         // zero), caught by the aggregate one.
         let mut updates = 0;
-        let drifting: Vec<TraceSample> = (0..30)
+        let drifting: Vec<OwnedSample> = (0..30)
             .map(|i| {
                 updates += if i < 20 { 10 } else { 500 };
                 sample(i, updates, 0)
@@ -2712,10 +2595,8 @@ mod tests {
             .collect();
         let seg = TraceSegment {
             label: "A".into(),
-            exact_rates: false,
             aggregate: true,
             samples: drifting,
-            spans: Vec::new(),
             end: Some((
                 150.0,
                 Counters {
@@ -2723,6 +2604,7 @@ mod tests {
                     ..Default::default()
                 },
             )),
+            ..Default::default()
         };
         let mut out = Vec::new();
         seg.detect_anomalies(&mut out);
@@ -2733,7 +2615,7 @@ mod tests {
         // Healthy aggregate run: flat group-update cost, zero per-peer
         // recomputes — no anomalies.
         let mut updates = 0;
-        let flat: Vec<TraceSample> = (0..30)
+        let flat: Vec<OwnedSample> = (0..30)
             .map(|i| {
                 updates += 40;
                 sample(i, updates, 0)
@@ -2741,10 +2623,8 @@ mod tests {
             .collect();
         let healthy = TraceSegment {
             label: "B".into(),
-            exact_rates: false,
             aggregate: true,
             samples: flat,
-            spans: Vec::new(),
             end: Some((
                 150.0,
                 Counters {
@@ -2752,6 +2632,7 @@ mod tests {
                     ..Default::default()
                 },
             )),
+            ..Default::default()
         };
         let mut out = Vec::new();
         healthy.detect_anomalies(&mut out);
@@ -2760,7 +2641,7 @@ mod tests {
         // A leaking per-peer cache (recomputes > 0 in aggregate mode) is
         // flagged even when the group-update cost stays flat.
         let mut updates = 0;
-        let leaking: Vec<TraceSample> = (0..30)
+        let leaking: Vec<OwnedSample> = (0..30)
             .map(|i| {
                 updates += 40;
                 sample(i, updates, 7)
@@ -2768,10 +2649,8 @@ mod tests {
             .collect();
         let leaky = TraceSegment {
             label: "C".into(),
-            exact_rates: false,
             aggregate: true,
             samples: leaking,
-            spans: Vec::new(),
             end: Some((
                 150.0,
                 Counters {
@@ -2780,6 +2659,7 @@ mod tests {
                     ..Default::default()
                 },
             )),
+            ..Default::default()
         };
         let mut out = Vec::new();
         leaky.detect_anomalies(&mut out);
@@ -2829,11 +2709,10 @@ mod tests {
         let span = |t: f64| ("handoff:des->fluid".to_string(), 10u64, Some(t));
         let segment = |spans: Vec<(String, u64, Option<f64>)>| TraceSegment {
             label: "H".into(),
-            exact_rates: false,
             aggregate: true,
-            samples: Vec::new(),
             spans,
             end: Some((2000.0, Counters::default())),
+            ..Default::default()
         };
 
         // Four switches packed into 1.5 time units amid ~400-unit dwells.

@@ -24,8 +24,7 @@
 use crate::args::Options;
 use crate::errors::{CliError, EXIT_INVARIANT};
 use btfluid_harness as harness;
-use btfluid_harness::json::Json;
-use btfluid_telemetry::{diag, Level};
+use btfluid_telemetry::{diag, Json, Level};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -188,16 +187,13 @@ fn observe(opts: &Options) -> Result<BTreeMap<String, f64>, CliError> {
         flatten(&root, &doc, &mut metrics);
     }
     if let Some(path) = opts.get("manifest") {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("perf: {path}: {e}"))?;
-        let mut rates: Vec<f64> = Vec::new();
-        for line in text.lines().filter(|l| !l.trim().is_empty()) {
-            let Ok(rec) = Json::parse(line) else { continue };
-            let events = rec.get("events").and_then(Json::as_u64).unwrap_or(0);
-            let wall_ms = rec.get("wall_ms").and_then(Json::as_u64).unwrap_or(0);
-            if events > 0 && wall_ms > 0 {
-                rates.push(events as f64 / wall_ms as f64);
-            }
-        }
+        // The journal reader treats a missing file as empty; here it was named.
+        std::fs::metadata(path).map_err(|e| format!("perf: {path}: {e}"))?;
+        let mut rates: Vec<f64> = harness::manifest::load(Path::new(path))?
+            .iter()
+            .filter(|r| r.events > 0 && r.wall_ms > 0)
+            .map(|r| r.events as f64 / r.wall_ms as f64)
+            .collect();
         if !rates.is_empty() {
             rates.sort_by(f64::total_cmp);
             metrics.insert("sweep.events_per_ms_median".into(), median_of(&rates));

@@ -20,7 +20,7 @@ use btfluid_harness as harness;
 use btfluid_hybrid::HybridConfig;
 use btfluid_scenario::{RateMode, ScenarioProgram};
 use btfluid_telemetry::{
-    diag, shared_recorder, Level, MetaField, SharedRecorder, SharedSink, DEFAULT_FLIGHT_CAPACITY,
+    diag, shared_recorder, Json, Level, SharedRecorder, SharedSink, DEFAULT_FLIGHT_CAPACITY,
     DEFAULT_SAMPLE_EVERY,
 };
 use btfluid_workload::CorrelationModel;
@@ -200,16 +200,16 @@ impl RunSpec {
         })
     }
 
-    /// The trace-segment header most runs share: label, seed, mode and
-    /// sampling period.
-    pub fn meta(&self, label: String) -> Vec<(&'static str, MetaField)> {
-        let is = |mode| MetaField::Bool(self.mode == mode);
+    /// The trace-segment header every run starts with: label, seed, mode
+    /// and sampling period (a scenario run adds its own fields).
+    pub fn meta(&self, label: String) -> Vec<(&'static str, Json)> {
+        let is = |mode| Json::Bool(self.mode == mode);
         vec![
-            ("label", MetaField::Str(label)),
-            ("seed", MetaField::U64(self.seed)),
+            ("label", Json::Str(label)),
+            ("seed", Json::num_u64(self.seed)),
             ("exact_rates", is(RateMode::Exact)),
             ("aggregate", is(RateMode::Aggregate)),
-            ("sample_every", MetaField::F64(self.sample_every)),
+            ("sample_every", Json::num_f64(self.sample_every)),
         ]
     }
 }
@@ -253,7 +253,7 @@ impl Outputs {
 
     /// Opens a trace segment headed by `meta` and returns the probe that
     /// feeds the observers from one engine run.
-    fn probe(&self, meta: &[(&str, MetaField)]) -> Option<Box<dyn Probe>> {
+    fn probe(&self, meta: &[(&str, Json)]) -> Option<Box<dyn Probe>> {
         let mut probes: Vec<Box<dyn Probe>> = Vec::new();
         if let Some(sink) = &self.sink {
             lock(sink).meta(meta);
@@ -317,7 +317,7 @@ pub struct Job<'a> {
     /// checkpoint.
     pub hook: Option<&'a dyn Fn() -> Box<dyn ScenarioHook>>,
     /// Header of this run's trace segment.
-    pub meta: Vec<(&'static str, MetaField)>,
+    pub meta: Vec<(&'static str, Json)>,
 }
 
 /// Runs `jobs` in order through [`harness::drive`] under the spec and

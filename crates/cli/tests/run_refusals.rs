@@ -1,7 +1,8 @@
 //! The run-flag refusal rules against the real `btfluid` binary: every
 //! single-engine command refuses the same contradictory modes and
 //! invalid cadences with exit code 2 and one message, before anything
-//! runs or any file is written.
+//! runs or any file is written. A malformed workload trace is refused the
+//! same way, as invalid input rather than a rejected repro bundle.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -34,6 +35,32 @@ fn commands(dir: &Path, trace: &Path) -> Vec<(&'static str, Vec<String>)> {
     base.into_iter()
         .map(|(name, args)| (name, args.into_iter().map(String::from).collect()))
         .collect()
+}
+
+/// Runs `btfluid args…`, asserts exit 2 with `message` on stderr, an
+/// empty stdout, and none of `unwritten` created, and returns stderr.
+fn assert_refused(args: &[&str], message: &str, unwritten: &[&str]) -> String {
+    let out = Command::new(BIN)
+        .args(args)
+        .output()
+        .expect("spawn btfluid");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: stderr: {stderr}");
+    assert!(
+        stderr.contains(message),
+        "{args:?}: expected '{message}' in: {stderr}"
+    );
+    assert!(
+        out.stdout.is_empty(),
+        "{args:?}: refused yet printed a table"
+    );
+    for path in unwritten {
+        assert!(
+            !Path::new(path).exists(),
+            "{args:?}: refused yet wrote {path}"
+        );
+    }
+    stderr.into_owned()
 }
 
 #[test]
@@ -125,34 +152,50 @@ fn run_flag_refusals_exit_2_everywhere() {
             if !names.contains(&name) {
                 continue;
             }
-            let out = Command::new(BIN)
-                .args(&base)
-                .args(extra)
-                .output()
-                .expect("spawn btfluid");
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            assert_eq!(
-                out.status.code(),
-                Some(2),
-                "{name} {extra:?}: stderr: {stderr}"
-            );
-            assert!(
-                stderr.contains(message),
-                "{name} {extra:?}: expected '{message}' in: {stderr}"
-            );
-            assert!(
-                out.stdout.is_empty(),
-                "{name} {extra:?}: refused yet printed a table"
-            );
-            for path in [flight, trace_out] {
-                assert!(
-                    !Path::new(path).exists(),
-                    "{name} {extra:?}: refused yet wrote {path}"
-                );
-            }
+            let args: Vec<&str> = base
+                .iter()
+                .map(String::as_str)
+                .chain(extra.clone())
+                .collect();
+            let _ = assert_refused(&args, message, &[flight, trace_out]);
             rows += 1;
         }
     }
     assert_eq!(rows, 30, "every table row must hit a command");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every command that loads a workload trace refuses a malformed one as
+/// invalid input (exit 2) naming the file and line, not as a rejected
+/// repro bundle (exit 5).
+#[test]
+fn malformed_trace_refusals_exit_2() {
+    let dir = fresh_dir("btfluid_bad_trace_test");
+    let jsonl = dir.join("bad.jsonl");
+    std::fs::write(&jsonl, "{\"format\":\"btfluid-trace-arrivals\"}\nnope\n").unwrap();
+    let csv = dir.join("bad.csv");
+    std::fs::write(&csv, "garbage\n").unwrap();
+    let manifest = dir.join("sweep.jsonl");
+    let (jsonl, csv, manifest) = (
+        jsonl.to_str().unwrap(),
+        csv.to_str().unwrap(),
+        manifest.to_str().unwrap(),
+    );
+    let jsonl_line = format!("trace '{jsonl}': line 1:");
+    let csv_line = format!("trace '{csv}': line 1:");
+    let table: [(Vec<&str>, &str); 5] = [
+        (vec!["trace", "info", "--in", jsonl], &jsonl_line),
+        (vec!["trace", "fit", "--in", jsonl], &jsonl_line),
+        (vec!["trace", "info", "--in", csv], &csv_line),
+        (vec!["trace", "replay", "--in", csv], &csv_line),
+        (
+            vec!["sweep", "--manifest", manifest, "--workload", csv],
+            &csv_line,
+        ),
+    ];
+    for (args, message) in &table {
+        let stderr = assert_refused(args, message, &[manifest]);
+        assert!(!stderr.contains("repro bundle"), "{args:?}: {stderr}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -9,11 +9,12 @@
 //! failure deterministically or demonstrating it is gone.
 
 use crate::error::{io_err, HarnessError};
-use crate::json::Json;
 use btfluid_core::adapt::AdaptConfig;
 use btfluid_core::FluidParams;
 use btfluid_des::{AdaptSetup, DesConfig, OrderPolicy, ScenarioHook, SchemeKind};
+use btfluid_numkit::NumError;
 use btfluid_scenario::registry;
+use btfluid_telemetry::Json;
 use btfluid_workload::CorrelationModel;
 use std::path::Path;
 
@@ -76,14 +77,13 @@ impl ScenarioRef {
     /// named registry program otherwise.
     ///
     /// # Errors
-    /// [`HarnessError::Bundle`] for an unknown registry name, an
-    /// unreadable trace file, or a trace that fails codec validation.
+    /// [`HarnessError::Bundle`] for an unknown registry name; the errors
+    /// of [`load_trace`] for the trace file, and [`HarnessError::Num`] for
+    /// a trace that cannot drive a replay (an empty one).
     pub fn build_hook(&self) -> Result<Box<dyn ScenarioHook>, HarnessError> {
         if let Some(path) = &self.trace {
             let trace = load_trace(Path::new(path))?;
-            let hook = btfluid_scenario::TraceHook::new(&trace)
-                .map_err(|e| HarnessError::Bundle(format!("trace '{path}': {e}")))?;
-            return Ok(Box::new(hook));
+            return Ok(Box::new(btfluid_scenario::TraceHook::new(&trace)?));
         }
         let program = registry::by_name(&self.name)
             .ok_or_else(|| HarnessError::Bundle(format!("unknown scenario '{}'", self.name)))?;
@@ -96,8 +96,9 @@ impl ScenarioRef {
 /// (`.jsonl` → JSONL, anything else → CSV).
 ///
 /// # Errors
-/// [`HarnessError::Io`] for filesystem failure, [`HarnessError::Bundle`]
-/// for codec validation failure.
+/// [`HarnessError::Io`] for filesystem failure; the codec's own
+/// [`HarnessError::Num`] for a file that fails validation, its message
+/// naming the file (and, from the codec, the line).
 pub fn load_trace(path: &Path) -> Result<btfluid_workload::ArrivalTrace, HarnessError> {
     let text = std::fs::read_to_string(path).map_err(|e| io_err(path, e))?;
     let decoded = if path.extension().is_some_and(|e| e == "jsonl") {
@@ -105,7 +106,13 @@ pub fn load_trace(path: &Path) -> Result<btfluid_workload::ArrivalTrace, Harness
     } else {
         btfluid_workload::ArrivalTrace::from_csv(&text)
     };
-    decoded.map_err(|e| HarnessError::Bundle(format!("trace '{}': {e}", path.display())))
+    decoded.map_err(|e| match e {
+        NumError::InvalidInput { what, detail } => {
+            let detail = format!("trace '{}': {detail}", path.display());
+            HarnessError::Num(NumError::InvalidInput { what, detail })
+        }
+        e => HarnessError::Num(e),
+    })
 }
 
 /// One quarantined cell, ready to replay.
@@ -535,12 +542,12 @@ mod tests {
         assert!(hook.replays());
         assert!(hook.replay_arrival(0).is_some());
 
-        // A corrupt trace file is a typed bundle error, not a panic.
+        // A corrupt trace file is the codec's typed error, naming the
+        // file, not a panic.
         std::fs::write(&path, "garbage").unwrap();
-        assert!(matches!(
-            bundle.scenario.clone().unwrap().build_hook(),
-            Err(HarnessError::Bundle(_))
-        ));
+        let err = bundle.scenario.clone().unwrap().build_hook().err().unwrap();
+        assert!(matches!(err, HarnessError::Num(_)), "{err:?}");
+        assert!(err.to_string().contains("workload.csv"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

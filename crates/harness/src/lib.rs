@@ -33,10 +33,14 @@
 pub mod bundle;
 pub mod checkpoint;
 pub mod error;
-pub mod json;
 pub mod manifest;
 pub mod shard;
 pub mod supervisor;
+
+/// The JSON codec lives in `btfluid-telemetry`, the crate every JSON
+/// reader and writer already depends on; this path is kept because the
+/// benchmark package imports `btfluid_harness::json`.
+pub use btfluid_telemetry::json;
 
 pub use bundle::{config_from_json, config_to_json, load_trace, ReproBundle, ScenarioRef};
 pub use checkpoint::{

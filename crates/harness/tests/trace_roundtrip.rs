@@ -2,8 +2,7 @@
 //! be a valid JSON document per line (non-finite encodes as `null`), and
 //! the workspace-wide downgrade counter must record the event.
 
-use btfluid_harness::json::Json;
-use btfluid_telemetry::{Counters, MetaField, Sample, TraceSink};
+use btfluid_telemetry::{Counters, Json, Sample, TraceRecord, TraceSink};
 
 #[test]
 fn trace_with_non_finite_sample_round_trips_as_valid_json() {
@@ -15,8 +14,8 @@ fn trace_with_non_finite_sample_round_trips_as_valid_json() {
     let before = btfluid_telemetry::non_finite_null_count();
     let mut sink = TraceSink::create(&path).unwrap();
     sink.meta(&[
-        ("scheme", MetaField::Str("MTCD".into())),
-        ("sample_every", MetaField::F64(f64::NAN)),
+        ("scheme", Json::Str("MTCD".into())),
+        ("sample_every", Json::num_f64(f64::NAN)),
     ]);
     // A sample whose adapt means blew up to NaN/∞ — the failure mode this
     // guards against is the sink writing literal `NaN` and breaking every
@@ -41,9 +40,11 @@ fn trace_with_non_finite_sample_round_trips_as_valid_json() {
     let mut lines = 0;
     let mut saw_null_rho = false;
     for line in text.lines() {
-        let doc = Json::parse(line).unwrap_or_else(|e| panic!("invalid JSON line {line:?}: {e}"));
-        if doc.get("kind").and_then(Json::as_str) == Some("sample") {
-            assert_eq!(doc.get("rho_mean"), Some(&Json::Null));
+        let record =
+            TraceRecord::parse(line).unwrap_or_else(|e| panic!("invalid JSON line {line:?}: {e}"));
+        if let TraceRecord::Sample(s) = record {
+            assert!(line.contains("\"rho_mean\":null"), "{line}");
+            assert!(s.rho_mean.is_nan() && s.pool_real[1].is_nan());
             saw_null_rho = true;
         }
         lines += 1;

@@ -5,11 +5,10 @@
 
 use crate::report::OracleConfig;
 use btfluid_des::{DesConfig, SchemeKind, Simulation};
-use btfluid_harness::json::Json;
 use btfluid_numkit::rng::{RngCore, Xoshiro256StarStar};
 use btfluid_telemetry::{
-    Counters, FlightKind, FlightRecord, FlightRecorder, MetaField, Sample, TraceSink,
-    FLIGHTREC_SCHEMA, FLIGHTREC_VERSION,
+    Counters, FlightDump, FlightKind, FlightRecord, FlightRecorder, Json, Sample, TraceRecord,
+    TraceSink, FLIGHTREC_VERSION,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -76,7 +75,8 @@ pub fn snapshot_fuzz(cfg: &OracleConfig) -> Result<String, String> {
 
 /// Trace JSONL round-trip: a sink fed non-finite samples must emit a file
 /// in which *every* line parses as JSON, the non-finite fields surface as
-/// `null`, and the process-wide downgrade counter advances.
+/// `null` (decoded back as NaN), and the process-wide downgrade counter
+/// advances.
 pub fn trace_jsonl_round_trip(cfg: &OracleConfig) -> Result<String, String> {
     let dir = std::env::temp_dir().join(format!(
         "btfluid_oracle_trace_{}_{}",
@@ -89,8 +89,8 @@ pub fn trace_jsonl_round_trip(cfg: &OracleConfig) -> Result<String, String> {
         let before = btfluid_telemetry::non_finite_null_count();
         let mut sink = TraceSink::create(&dir.join("oracle.jsonl")).map_err(|e| e.to_string())?;
         sink.meta(&[
-            ("scheme", MetaField::Str("CMFSD".into())),
-            ("rho", MetaField::F64(0.5)),
+            ("scheme", Json::Str("CMFSD".into())),
+            ("rho", Json::num_f64(0.5)),
         ]);
         for i in 0..8u64 {
             let poison = if i % 2 == 0 { f64::NAN } else { f64::INFINITY };
@@ -114,10 +114,9 @@ pub fn trace_jsonl_round_trip(cfg: &OracleConfig) -> Result<String, String> {
         let mut lines = 0usize;
         let mut null_fields = 0usize;
         for line in text.lines() {
-            let doc = Json::parse(line).map_err(|e| format!("invalid JSON line: {e}\n{line}"))?;
-            if doc.get("kind").and_then(Json::as_str) == Some("sample")
-                && doc.get("rho_mean") == Some(&Json::Null)
-            {
+            let record =
+                TraceRecord::parse(line).map_err(|e| format!("invalid trace line: {e}\n{line}"))?;
+            if matches!(record, TraceRecord::Sample(s) if s.rho_mean.is_nan()) {
                 null_fields += 1;
             }
             lines += 1;
@@ -144,20 +143,13 @@ pub fn trace_jsonl_round_trip(cfg: &OracleConfig) -> Result<String, String> {
 
 /// Flight-recorder dump contract: for seeded random record streams and
 /// ring capacities, `dump_string` must emit a meta line whose accounting
-/// fields reconcile (`total = retained + dropped`), every record line
-/// must parse as JSON with a known kind, and the retained records must be
+/// fields reconcile (`total = retained + dropped`), the dump must decode
+/// through [`FlightDump::parse`], and the decoded records must be
 /// **exactly the last `min(capacity, total)`** of the stream, in order.
 pub fn flightrec_round_trip(cfg: &OracleConfig) -> Result<String, String> {
     let mut rng = Xoshiro256StarStar::stream(cfg.seed, 9);
     let trials = if cfg.full { 64 } else { 16 };
-    let kinds = [
-        FlightKind::EventPop,
-        FlightKind::RateRecompute,
-        FlightKind::AggResample,
-        FlightKind::Handoff,
-        FlightKind::Checkpoint,
-        FlightKind::FaultConsult,
-    ];
+    let kinds = FlightKind::ALL;
     let mut lines_checked = 0usize;
     for trial in 0..trials {
         let capacity = 1 + (rng.next_u64() % 40) as usize;
@@ -176,50 +168,32 @@ pub fn flightrec_round_trip(cfg: &OracleConfig) -> Result<String, String> {
             stream.push(r);
         }
         let failure_t = (trial % 2 == 0).then_some(n as f64);
-        let dump = rec.dump_string(failure_t);
-        let mut lines = dump.lines();
-        let meta = Json::parse(lines.next().ok_or("empty dump")?)
-            .map_err(|e| format!("meta line: {e}"))?;
-        if meta.get("schema").and_then(Json::as_str) != Some(FLIGHTREC_SCHEMA)
-            || meta.get("version").and_then(Json::as_u64) != Some(u64::from(FLIGHTREC_VERSION))
-        {
-            return Err(format!("bad schema/version in meta: {dump}"));
+        let text = rec.dump_string(failure_t);
+        let dump = FlightDump::parse(&text)
+            .map_err(|e| format!("dump line {e}\n{text}"))?
+            .ok_or_else(|| format!("no flightrec meta line: {text}"))?;
+        if dump.version != u64::from(FLIGHTREC_VERSION) {
+            return Err(format!("bad version in meta: {text}"));
         }
-        let total = meta.get("total").and_then(Json::as_u64).ok_or("no total")?;
-        let dropped = meta
-            .get("dropped")
-            .and_then(Json::as_u64)
-            .ok_or("no dropped")?;
-        if meta.get("failure_t").is_some() != failure_t.is_some() {
-            return Err("failure_t presence mismatch".into());
+        if dump.failure_t != failure_t {
+            return Err("failure_t mismatch".into());
         }
-        let records: Vec<&str> = lines.collect();
-        if total != n as u64 || total != records.len() as u64 + dropped {
+        let (total, dropped) = (dump.total, dump.dropped);
+        if total != n as u64 || total != dump.records.len() as u64 + dropped {
             return Err(format!(
                 "accounting mismatch: total {total}, retained {}, dropped {dropped} (n = {n})",
-                records.len()
+                dump.records.len()
             ));
         }
         let expect = &stream[n - n.min(capacity)..];
-        if records.len() != expect.len() {
+        if dump.records != expect {
             return Err(format!(
-                "retained {} records, expected the last {}",
-                records.len(),
+                "retained {:?}, expected the last {} records {expect:?}",
+                dump.records,
                 expect.len()
             ));
         }
-        for (line, want) in records.iter().zip(expect) {
-            let doc = Json::parse(line).map_err(|e| format!("record line: {e}\n{line}"))?;
-            let k = doc.get("k").and_then(Json::as_str).ok_or("record sans k")?;
-            if FlightKind::parse(k) != Some(want.kind)
-                || doc.get("ev").and_then(Json::as_u64) != Some(want.events)
-                || doc.get("a").and_then(Json::as_u64) != Some(want.a)
-                || doc.get("b").and_then(Json::as_u64) != Some(want.b)
-            {
-                return Err(format!("record mismatch: {line} vs {want:?}"));
-            }
-            lines_checked += 1;
-        }
+        lines_checked += dump.records.len();
     }
     Ok(format!(
         "{trials} seeded ring configurations round-trip; {lines_checked} record \

@@ -4,6 +4,12 @@
 //! integer increments — cheap enough (the engine spends tens of
 //! microseconds per event) to keep even when no probe is attached, which
 //! in turn keeps snapshots identical whether or not telemetry is enabled.
+//!
+//! [`Counters::to_json`] and [`Counters::from_json`] are the one codec
+//! for the counters object that trace records and sweep-journal lines
+//! embed.
+
+use crate::json::Json;
 
 /// Cumulative engine counters since the start of the run (they survive
 /// snapshot/restore, so a resumed run continues the same series).
@@ -54,6 +60,25 @@ impl Counters {
             self.agg_rate_updates,
             self.agg_samples,
         )
+    }
+
+    /// Decodes the object [`Counters::to_json`] writes; `None` when `v` is
+    /// not one. The two aggregate-mode counters read as zero when absent:
+    /// traces and journals written before aggregate mode lack them.
+    pub fn from_json(v: &Json) -> Option<Counters> {
+        let u = |key: &str| v.get(key).and_then(Json::as_u64);
+        Some(Counters {
+            events_popped: u("events_popped")?,
+            stale_discards: u("stale_discards")?,
+            heap_peak: u("heap_peak")?,
+            rate_recomputes: u("rate_recomputes")?,
+            rate_clean_hits: u("rate_clean_hits")?,
+            snapshots_taken: u("snapshots_taken")?,
+            snapshot_bytes: u("snapshot_bytes")?,
+            snapshot_micros: u("snapshot_micros")?,
+            agg_rate_updates: u("agg_rate_updates").unwrap_or(0),
+            agg_samples: u("agg_samples").unwrap_or(0),
+        })
     }
 }
 

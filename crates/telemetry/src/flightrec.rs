@@ -19,7 +19,7 @@
 //! engine did" without anyone having had to enable tracing in advance.
 
 use crate::counters::Counters;
-use crate::jsonw;
+use crate::json::{self, Json};
 use crate::probe::Probe;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
@@ -61,6 +61,16 @@ pub enum FlightKind {
 }
 
 impl FlightKind {
+    /// Every kind, in wire-code order.
+    pub const ALL: [FlightKind; 6] = [
+        FlightKind::EventPop,
+        FlightKind::RateRecompute,
+        FlightKind::AggResample,
+        FlightKind::Handoff,
+        FlightKind::Checkpoint,
+        FlightKind::FaultConsult,
+    ];
+
     /// Stable wire name used in the JSONL dump.
     pub fn name(self) -> &'static str {
         match self {
@@ -76,15 +86,7 @@ impl FlightKind {
     /// Inverse of [`FlightKind::name`]; `None` for unknown wire names
     /// (readers skip those, the additive-schema discipline).
     pub fn parse(name: &str) -> Option<Self> {
-        Some(match name {
-            "pop" => FlightKind::EventPop,
-            "rate" => FlightKind::RateRecompute,
-            "resample" => FlightKind::AggResample,
-            "handoff" => FlightKind::Handoff,
-            "checkpoint" => FlightKind::Checkpoint,
-            "fault" => FlightKind::FaultConsult,
-            _ => return None,
-        })
+        Self::ALL.into_iter().find(|k| k.name() == name)
     }
 }
 
@@ -117,13 +119,89 @@ impl FlightRecord {
         out.push_str("{\"k\":\"");
         out.push_str(self.kind.name());
         out.push_str("\",\"t\":");
-        jsonw::push_f64(&mut out, self.t);
+        json::push_f64(&mut out, self.t);
         let _ = write!(
             out,
             ",\"ev\":{},\"a\":{},\"b\":{}}}",
             self.events, self.a, self.b
         );
         out
+    }
+
+    /// Decodes one line [`FlightRecord::to_json`] wrote; `Ok(None)` for a
+    /// kind this build does not know (readers skip those). A missing `t`
+    /// reads as NaN and a missing count as 0.
+    ///
+    /// # Errors
+    /// The record has no `k`.
+    pub fn from_json(v: &Json) -> Result<Option<FlightRecord>, String> {
+        let Some(kind) = v.get("k").and_then(Json::as_str) else {
+            return Err("record without 'k'".into());
+        };
+        let u = |key: &str| v.get(key).and_then(Json::as_u64).unwrap_or(0);
+        Ok(FlightKind::parse(kind).map(|kind| FlightRecord {
+            t: v.get("t").and_then(Json::as_f64).unwrap_or(f64::NAN),
+            events: u("ev"),
+            kind,
+            a: u("a"),
+            b: u("b"),
+        }))
+    }
+}
+
+/// A decoded `flightrec v1` dump: the meta line's accounting and the
+/// records it held, oldest first.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FlightDump {
+    /// Dump format version (this build writes [`FLIGHTREC_VERSION`]).
+    pub version: u64,
+    /// Ring capacity.
+    pub capacity: u64,
+    /// Records ever offered to the ring.
+    pub total: u64,
+    /// Records overwritten before the dump.
+    pub dropped: u64,
+    /// The failure's simulated time, when the writer knew it.
+    pub failure_t: Option<f64>,
+    /// The held records, oldest first.
+    pub records: Vec<FlightRecord>,
+}
+
+impl FlightDump {
+    /// Decodes what [`FlightRecorder::dump_string`] writes, skipping blank
+    /// lines and records of unknown kinds (missing counts read as 0);
+    /// `Ok(None)` when the first line is not a flightrec meta line (a
+    /// trace or another artifact).
+    ///
+    /// # Errors
+    /// `"N: why"` for the first bad line `N` (1-based).
+    pub fn parse(text: &str) -> Result<Option<FlightDump>, String> {
+        let mut lines = text
+            .lines()
+            .enumerate()
+            .filter(|(_, l)| !l.trim().is_empty());
+        let meta = lines.next().and_then(|(_, l)| Json::parse(l).ok());
+        let schema = meta.as_ref().and_then(|m| m.get("schema")?.as_str());
+        let (Some(meta), Some(FLIGHTREC_SCHEMA)) = (&meta, schema) else {
+            return Ok(None);
+        };
+        let u = |key: &str| meta.get(key).and_then(Json::as_u64).unwrap_or(0);
+        let mut dump = FlightDump {
+            version: u("version"),
+            capacity: u("capacity"),
+            total: u("total"),
+            dropped: u("dropped"),
+            failure_t: meta.get("failure_t").and_then(Json::as_f64),
+            records: Vec::new(),
+        };
+        for (idx, line) in lines {
+            let at = |e| format!("{}: {e}", idx + 1);
+            let v = Json::parse(line).map_err(|e| at(e.to_string()))?;
+            if let Some(rec) = FlightRecord::from_json(&v).map_err(at)? {
+                dump.records.push(rec);
+            }
+        }
+        Ok(Some(dump))
     }
 }
 
@@ -208,7 +286,7 @@ impl FlightRecorder {
         );
         if let Some(t) = failure_t {
             out.push_str(",\"failure_t\":");
-            jsonw::push_f64(&mut out, t);
+            json::push_f64(&mut out, t);
         }
         out.push_str("}\n");
         for rec in self.iter() {
@@ -366,14 +444,7 @@ mod tests {
 
     #[test]
     fn kind_names_round_trip() {
-        for kind in [
-            FlightKind::EventPop,
-            FlightKind::RateRecompute,
-            FlightKind::AggResample,
-            FlightKind::Handoff,
-            FlightKind::Checkpoint,
-            FlightKind::FaultConsult,
-        ] {
+        for kind in FlightKind::ALL {
             assert_eq!(FlightKind::parse(kind.name()), Some(kind));
         }
         assert_eq!(FlightKind::parse("warp"), None);

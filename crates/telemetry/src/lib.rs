@@ -1,8 +1,16 @@
 //! # btfluid-telemetry
 //!
 //! Observability substrate for the btfluid workspace: engine probes,
-//! hot-loop counters, a versioned JSONL trace sink, and the `diag!`
-//! leveled stderr diagnostics macro.
+//! hot-loop counters, a versioned JSONL trace sink, the flight recorder,
+//! the `diag!` leveled stderr diagnostics macro, and the workspace's one
+//! JSON codec ([`json`]).
+//!
+//! Every JSON artifact has one encoder/decoder pair, in the module that
+//! owns its schema: [`Counters::to_json`]/[`Counters::from_json`],
+//! [`FlightRecord`] and [`FlightDump`] in [`flightrec`], and the trace-v1
+//! writer [`TraceSink`] with its reader [`TraceRecord`] in [`sink`]. The
+//! crate has no dependencies, so every crate that reads or writes JSON can
+//! use the codec from here.
 //!
 //! The crate sits *below* `btfluid-des` in the dependency graph (the
 //! engine calls into it), so it carries no simulator types — probes see
@@ -27,7 +35,7 @@ pub mod counters;
 pub mod diag;
 pub mod faults;
 pub mod flightrec;
-pub mod jsonw;
+pub mod json;
 pub mod probe;
 pub mod profiler;
 pub mod sink;
@@ -36,13 +44,13 @@ pub use counters::Counters;
 pub use diag::{enabled, level, set_level, Level};
 pub use faults::{FaultKind, FaultRule, FaultScript, FaultSite};
 pub use flightrec::{
-    shared_recorder, FanoutProbe, FlightKind, FlightRecord, FlightRecorder, RecorderProbe,
-    SharedRecorder, DEFAULT_FLIGHT_CAPACITY, FLIGHTREC_SCHEMA, FLIGHTREC_VERSION,
+    shared_recorder, FanoutProbe, FlightDump, FlightKind, FlightRecord, FlightRecorder,
+    RecorderProbe, SharedRecorder, DEFAULT_FLIGHT_CAPACITY, FLIGHTREC_SCHEMA, FLIGHTREC_VERSION,
 };
-pub use jsonw::{non_finite_null_count, note_non_finite_null};
+pub use json::{non_finite_null_count, Json, JsonError};
 pub use probe::{MemoryProbe, NoopProbe, OwnedSample, Probe, Sample};
 pub use profiler::{Phase, PhaseStats, ProfileTable, Profiler, PHASES};
-pub use sink::{MetaField, SharedSink, SinkProbe, TraceSink, TRACE_SCHEMA, TRACE_VERSION};
+pub use sink::{SharedSink, SinkProbe, TraceRecord, TraceSink, TRACE_SCHEMA, TRACE_VERSION};
 
 /// Default sampling cadence (simulated time units) for trace-producing
 /// probes when the caller does not choose one.

@@ -40,8 +40,9 @@ pub struct Sample<'a> {
     pub counters: Counters,
 }
 
-/// An owned copy of a [`Sample`], for buffering probes and tests.
-#[derive(Debug, Clone, PartialEq)]
+/// An owned copy of a [`Sample`], for buffering probes, tests, and the
+/// trace reader ([`crate::TraceRecord`]).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct OwnedSample {
     /// Simulated time of the sample.
     pub t: f64,

@@ -7,6 +7,11 @@
 //! 2. any number of `sample` and `span` records,
 //! 3. a final `end` record with the closing clock and counters.
 //!
+//! A file may hold several such segments, one per engine run.
+//! [`TraceRecord::parse`] is the matching reader: it decodes any line
+//! this writer emits (and `profile` records), reading fields that older
+//! traces lack as their defaults.
+//!
 //! Writes follow the snapshot layer's atomic discipline: everything goes
 //! to `<path>.tmp` and is renamed over the final path by
 //! [`TraceSink::finish`], so a crash leaves either no trace or a
@@ -14,8 +19,9 @@
 //! finish".
 
 use crate::counters::Counters;
-use crate::jsonw;
-use crate::probe::{Probe, Sample};
+use crate::json::{self, Json};
+use crate::probe::{OwnedSample, Probe, Sample};
+use crate::profiler::{PhaseStats, ProfileTable, PHASES};
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, BufWriter, Write as _};
@@ -26,19 +32,6 @@ use std::sync::{Arc, Mutex};
 pub const TRACE_SCHEMA: &str = "btfluid-trace";
 /// Current trace schema version.
 pub const TRACE_VERSION: u32 = 1;
-
-/// A typed value for one meta-record field.
-#[derive(Debug, Clone)]
-pub enum MetaField {
-    /// A string field.
-    Str(String),
-    /// A float field (non-finite encodes as `null`).
-    F64(f64),
-    /// An unsigned integer field (seeds survive exactly).
-    U64(u64),
-    /// A boolean field.
-    Bool(bool),
-}
 
 /// An append-only JSONL trace writer (see module docs for the record
 /// grammar and atomicity guarantees).
@@ -109,25 +102,16 @@ impl TraceSink {
         }
     }
 
-    /// Writes the schema-stamped meta record; call once, first.
-    pub fn meta(&mut self, fields: &[(&str, MetaField)]) {
+    /// Writes the schema-stamped meta record (the caller's run
+    /// parameters follow the schema fields); call once, first.
+    pub fn meta(&mut self, fields: &[(&str, Json)]) {
         let mut s = format!(
             "{{\"schema\":\"{TRACE_SCHEMA}\",\"version\":{TRACE_VERSION},\"kind\":\"meta\""
         );
         for (key, value) in fields {
             s.push(',');
-            jsonw::push_str_lit(&mut s, key);
-            s.push(':');
-            match value {
-                MetaField::Str(x) => jsonw::push_str_lit(&mut s, x),
-                MetaField::F64(x) => jsonw::push_f64(&mut s, *x),
-                MetaField::U64(x) => {
-                    let _ = write!(s, "{x}");
-                }
-                MetaField::Bool(x) => {
-                    let _ = write!(s, "{x}");
-                }
-            }
+            let _ = json::push_str_lit(&mut s, key);
+            let _ = write!(s, ":{value}");
         }
         s.push('}');
         self.write_line(&s);
@@ -137,24 +121,21 @@ impl TraceSink {
     pub fn sample(&mut self, sample: &Sample<'_>) {
         let mut s = String::with_capacity(256);
         s.push_str("{\"kind\":\"sample\",\"t\":");
-        jsonw::push_f64(&mut s, sample.t);
+        json::push_f64(&mut s, sample.t);
         let _ = write!(s, ",\"events\":{}", sample.events);
-        s.push_str(",\"downloaders\":");
-        jsonw::push_usize_arr(&mut s, sample.downloaders);
-        s.push_str(",\"download_pairs\":");
-        jsonw::push_usize_arr(&mut s, sample.download_pairs);
-        s.push_str(",\"seed_pairs\":");
-        jsonw::push_usize_arr(&mut s, sample.seed_pairs);
-        s.push_str(",\"weight\":");
-        jsonw::push_f64_arr(&mut s, sample.weight);
-        s.push_str(",\"pool_real\":");
-        jsonw::push_f64_arr(&mut s, sample.pool_real);
-        s.push_str(",\"pool_virtual\":");
-        jsonw::push_f64_arr(&mut s, sample.pool_virtual);
+        let usize = |out: &mut String, x: usize| {
+            let _ = write!(out, "{x}");
+        };
+        push_arr(&mut s, "downloaders", sample.downloaders, usize);
+        push_arr(&mut s, "download_pairs", sample.download_pairs, usize);
+        push_arr(&mut s, "seed_pairs", sample.seed_pairs, usize);
+        push_arr(&mut s, "weight", sample.weight, json::push_f64);
+        push_arr(&mut s, "pool_real", sample.pool_real, json::push_f64);
+        push_arr(&mut s, "pool_virtual", sample.pool_virtual, json::push_f64);
         s.push_str(",\"rho_mean\":");
-        jsonw::push_f64(&mut s, sample.rho_mean);
+        json::push_f64(&mut s, sample.rho_mean);
         s.push_str(",\"delta_mean\":");
-        jsonw::push_f64(&mut s, sample.delta_mean);
+        json::push_f64(&mut s, sample.delta_mean);
         let _ = write!(s, ",\"counters\":{}}}", sample.counters.to_json());
         self.write_line(&s);
     }
@@ -163,7 +144,7 @@ impl TraceSink {
     pub fn span(&mut self, name: &str, micros: u64) {
         let mut s = String::with_capacity(64);
         s.push_str("{\"kind\":\"span\",\"name\":");
-        jsonw::push_str_lit(&mut s, name);
+        let _ = json::push_str_lit(&mut s, name);
         let _ = write!(s, ",\"micros\":{micros}}}");
         self.write_line(&s);
     }
@@ -178,9 +159,9 @@ impl TraceSink {
     pub fn span_at(&mut self, name: &str, micros: u64, t: f64) {
         let mut s = String::with_capacity(80);
         s.push_str("{\"kind\":\"span\",\"name\":");
-        jsonw::push_str_lit(&mut s, name);
+        let _ = json::push_str_lit(&mut s, name);
         let _ = write!(s, ",\"micros\":{micros},\"t\":");
-        jsonw::push_f64(&mut s, t);
+        json::push_f64(&mut s, t);
         s.push('}');
         self.write_line(&s);
     }
@@ -188,7 +169,7 @@ impl TraceSink {
     /// Writes one self-profiler record (an additive `"profile"` record
     /// kind; schema version unchanged — readers without it skip unknown
     /// kinds, the same discipline as [`TraceSink::span_at`]'s `"t"`).
-    pub fn profile(&mut self, table: &crate::profiler::ProfileTable) {
+    pub fn profile(&mut self, table: &ProfileTable) {
         let mut s = String::with_capacity(64 + table.phases.len() * 96);
         let _ = write!(
             s,
@@ -199,9 +180,11 @@ impl TraceSink {
             if i > 0 {
                 s.push(',');
             }
+            s.push_str("{\"name\":");
+            let _ = json::push_str_lit(&mut s, name);
             let _ = write!(
                 s,
-                "{{\"name\":\"{name}\",\"calls\":{},\"self_ns\":{},\"total_ns\":{}}}",
+                ",\"calls\":{},\"self_ns\":{},\"total_ns\":{}}}",
                 stat.calls, stat.self_ns, stat.total_ns
             );
         }
@@ -213,7 +196,7 @@ impl TraceSink {
     pub fn end(&mut self, t: f64, counters: &Counters) {
         let mut s = String::with_capacity(128);
         s.push_str("{\"kind\":\"end\",\"t\":");
-        jsonw::push_f64(&mut s, t);
+        json::push_f64(&mut s, t);
         let _ = write!(s, ",\"counters\":{}}}", counters.to_json());
         self.write_line(&s);
     }
@@ -253,6 +236,119 @@ impl TraceSink {
             return fail(&self.tmp_path, e);
         }
         Ok(self.final_path.clone())
+    }
+}
+
+/// Appends `,"key":[x,…]`, each element written by `push`.
+fn push_arr<T: Copy>(out: &mut String, key: &str, xs: &[T], push: fn(&mut String, T)) {
+    let _ = write!(out, ",\"{key}\":[");
+    for (i, &x) in xs.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push(out, x);
+    }
+    out.push(']');
+}
+
+/// One decoded trace-v1 line. Fields missing from older traces read as
+/// defaults: `0` for counts, NaN for clocks and means, empty arrays,
+/// zeroed [`Counters`], `"?"` for names and `false` for mode flags.
+#[derive(Debug, Clone, PartialEq)]
+pub enum TraceRecord {
+    /// Opens a segment (one engine run); the fields readers interpret.
+    Meta {
+        /// Schema version (this build writes [`TRACE_VERSION`]).
+        version: u64,
+        /// Run label.
+        label: String,
+        /// Whether the run used exact (reference) rates.
+        exact_rates: bool,
+        /// Whether the run used class-aggregated scheduling.
+        aggregate: bool,
+    },
+    /// A cadence-point observation.
+    Sample(OwnedSample),
+    /// A span: its name, wall-clock µs, and the simulated time of a
+    /// timestamped span ([`TraceSink::span_at`]).
+    Span(String, u64, Option<f64>),
+    /// A self-profiler table; phases this build does not know are
+    /// skipped.
+    Profile(ProfileTable),
+    /// Closes a segment: the final clock and counters.
+    End(f64, Counters),
+    /// A record kind this build does not know (readers skip it).
+    Unknown(String),
+}
+
+impl TraceRecord {
+    /// Decodes one trace line.
+    ///
+    /// # Errors
+    /// The line is not JSON, has no `kind`, or is a `meta` record of
+    /// another schema.
+    pub fn parse(line: &str) -> Result<TraceRecord, String> {
+        let v = Json::parse(line).map_err(|e| e.to_string())?;
+        let Some(kind) = v.get("kind").and_then(Json::as_str) else {
+            return Err("record without a kind".into());
+        };
+        let u = |key: &str| v.get(key).and_then(Json::as_u64).unwrap_or(0);
+        let f = |key: &str| v.get(key).and_then(Json::as_f64).unwrap_or(f64::NAN);
+        let text = |key: &str| v.get(key).and_then(Json::as_str).unwrap_or("?").to_string();
+        let flag = |key: &str| v.get(key).and_then(Json::as_bool).unwrap_or(false);
+        let arr = |key: &str| v.get(key).and_then(Json::as_arr).unwrap_or(&[]);
+        let int = |x: &Json| x.as_u64().and_then(|x| usize::try_from(x).ok());
+        let float = |x: &Json| x.as_f64().unwrap_or(f64::NAN);
+        let usizes = |key| arr(key).iter().map(|x| int(x).unwrap_or(0)).collect();
+        let floats = |key| arr(key).iter().map(float).collect();
+        let counters = v.get("counters").and_then(Counters::from_json);
+        Ok(match kind {
+            "meta" => match v.get("schema").and_then(Json::as_str).unwrap_or("?") {
+                TRACE_SCHEMA => TraceRecord::Meta {
+                    version: u("version"),
+                    label: text("label"),
+                    exact_rates: flag("exact_rates"),
+                    aggregate: flag("aggregate"),
+                },
+                schema => return Err(format!("schema '{schema}' is not '{TRACE_SCHEMA}'")),
+            },
+            "sample" => TraceRecord::Sample(OwnedSample {
+                t: f("t"),
+                events: u("events"),
+                downloaders: usizes("downloaders"),
+                download_pairs: usizes("download_pairs"),
+                seed_pairs: usizes("seed_pairs"),
+                weight: floats("weight"),
+                pool_real: floats("pool_real"),
+                pool_virtual: floats("pool_virtual"),
+                rho_mean: f("rho_mean"),
+                delta_mean: f("delta_mean"),
+                counters: counters.unwrap_or_default(),
+            }),
+            "span" => {
+                TraceRecord::Span(text("name"), u("micros"), v.get("t").and_then(Json::as_f64))
+            }
+            "profile" => TraceRecord::Profile(ProfileTable {
+                phases: arr("phases")
+                    .iter()
+                    .filter_map(|ph| {
+                        let name = ph.get("name").and_then(Json::as_str)?;
+                        let phase = PHASES.iter().find(|p| p.name() == name)?;
+                        let n = |key: &str| ph.get(key).and_then(Json::as_u64).unwrap_or(0);
+                        let stats = PhaseStats {
+                            calls: n("calls"),
+                            self_ns: n("self_ns"),
+                            total_ns: n("total_ns"),
+                        };
+                        Some((phase.name(), stats))
+                    })
+                    .collect(),
+                events: u("events"),
+                pair_overhead_ns: u("pair_overhead_ns"),
+            }),
+            "end" => TraceRecord::End(f("t"), counters.unwrap_or_default()),
+            other => TraceRecord::Unknown(other.to_string()),
+        })
     }
 }
 
@@ -332,10 +428,10 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let mut sink = TraceSink::create(&path).unwrap();
         sink.meta(&[
-            ("scheme", MetaField::Str("MTCD".into())),
-            ("seed", MetaField::U64(u64::MAX)),
-            ("sample_every", MetaField::F64(5.0)),
-            ("exact_rates", MetaField::Bool(false)),
+            ("scheme", Json::Str("MTCD".into())),
+            ("seed", Json::num_u64(u64::MAX)),
+            ("sample_every", Json::num_f64(5.0)),
+            ("exact_rates", Json::Bool(false)),
         ]);
         let bufs = sample_bufs();
         sink.sample(&sample(&bufs));
