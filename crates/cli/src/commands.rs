@@ -52,7 +52,7 @@ COMMANDS
                 [--classes MU:C:LAMBDA,...] [--seed S]
   eta         X9: measure the sharing efficiency η at chunk level [--seed S]
   sim         one raw simulation  --scheme mtsd|mtcd|mfcd|cmfsd[:RHO]
-                [--k K] [--p P] [--horizon H] [--warmup W]
+                [--k K] [--p P] [--lambda0 L] [--horizon H] [--warmup W]
                 [--origin-seeds N] [RUN OPTIONS]
   scenario    non-stationary scenario runs (flash crowds, churn, faults)
                 btfluid scenario list
@@ -72,7 +72,8 @@ COMMANDS
               timers (heap ops, rate maintenance, member sampling, hook
               dispatch, snapshot encode, sink write), calibrated-overhead
               subtracted, rendered as per-phase wall and per-event tables
-                [--scheme S] [--k K] [--p P] [--horizon H] [RUN OPTIONS]
+                [--scheme S] [--k K] [--p P] [--lambda0 L] [--horizon H]
+                [RUN OPTIONS]
   perf        cross-run performance observatory over committed BENCH_*.json
               and sweep manifests
                 [--bench FILES] [--manifest FILE] [--history FILE]
@@ -85,15 +86,17 @@ COMMANDS
               exit 4 — CI asserts exactly that
   sweep       supervised replicate sweep with failure quarantine
                 --manifest FILE [--bundles DIR] [--schemes LIST] [--reps N]
-                [--seed S] [--k K] [--p P] [--horizon H] [--resume]
+                [--seed S] [--k K] [--p P] [--lambda0 L] [--horizon H]
+                [--resume]
                 [--retries N] [--workers N] [--event-budget N]
                 [--wall-budget-ms MS] [--checkpoint-every N] [--checked]
                 [--exact | --aggregate] [--inject-panic CELL@EVENT]
                 [--workload FILE] replays a recorded arrival trace into
                 every cell (geometry and rates come from the trace;
-                --p/--k/--horizon are ignored; [--bins N] bins the
-                empirical rate for the reference schedule); --resume skips
-                the cells the --manifest journal records as done
+                --p/--k/--lambda0/--horizon are ignored; [--bins N]
+                bins the empirical rate for the reference schedule);
+                --resume skips the cells the --manifest journal records
+                as done
   trace       measurement-calibrated workload traces
               (codec btfluid-trace-arrivals v1, CSV or JSONL)
                 btfluid trace gen --out FILE [--shape flat|diurnal]
@@ -962,7 +965,7 @@ fn cmd_sweep(opts: &Options) -> Result<(), CliError> {
     // `--workload FILE` makes every cell a trace replay: the recorded
     // arrivals drive the engine and the reference model/geometry come
     // from the trace itself (fitted by `trace_program`), not from
-    // --p/--k/--horizon.
+    // --p/--k/--lambda0/--horizon.
     let workload = match opts.get("workload") {
         None => None,
         Some(path) => {

@@ -140,9 +140,10 @@ impl RunSpec {
     }
 
     /// The synthetic paper-parameter workload of `sim`, `profile` and
-    /// `sweep` cells: `--k` (10), `--p` (0.5), `--horizon` (the
-    /// command's `horizon`), `--warmup` (horizon/4), a drain as long as
-    /// the horizon, `--origin-seeds` (1), at λ₀ = 0.25.
+    /// `sweep` cells: `--k` (10), `--p` (0.5), `--lambda0` (0.25),
+    /// `--horizon` (the command's `horizon`), `--warmup` (horizon/4), a
+    /// drain as long as the horizon and `--origin-seeds` (1). Refuses a
+    /// `--lambda0` that is not positive and finite.
     pub fn des_config(
         &self,
         opts: &Options,
@@ -151,7 +152,11 @@ impl RunSpec {
         horizon: f64,
     ) -> Result<DesConfig, CliError> {
         let p = opts.get_f64("p", 0.5)?;
-        let model = CorrelationModel::new(opts.get_usize("k", 10)? as u32, p, 0.25)?;
+        let lambda0 = opts.get_f64("lambda0", 0.25)?;
+        if !(lambda0.is_finite() && lambda0 > 0.0) {
+            return Err(refuse("--lambda0 must be positive and finite"));
+        }
+        let model = CorrelationModel::new(opts.get_usize("k", 10)? as u32, p, lambda0)?;
         let horizon = opts.get_f64("horizon", horizon)?;
         let mut cfg = DesConfig::paper_small(scheme, p, seed)?;
         cfg.model = model;

@@ -70,13 +70,17 @@ fn mask_rate(text: &str) -> String {
         .collect()
 }
 
-/// A file's bytes with its wall-clock fields masked.
+/// A file's bytes with its wall-clock fields and its queue-shape counters
+/// (`heap_peak`, `stale_discards`: how the event heap is laid out, not
+/// what the run did) masked.
 fn masked(dir: &Path, name: &str) -> Vec<u8> {
     let text = String::from_utf8(file(dir, name)).expect("JSON artifacts are UTF-8");
     let keys = [
+        "heap_peak",
         "micros",
         "pair_overhead_ns",
         "self_ns",
+        "stale_discards",
         "total_ns",
         "wall_ms",
     ];
@@ -217,7 +221,7 @@ fn fixed_seed_outputs_are_pinned() {
             ),
             0xfde1_a5c1_983a_c363,
         ),
-        ("sweep journal", masked(d, "M.jsonl"), 0xc59b_0d77_077d_105b),
+        ("sweep journal", masked(d, "M.jsonl"), 0x50f7_5163_0255_4377),
         (
             "sim --trace --flightrec",
             stdout(
@@ -238,7 +242,7 @@ fn fixed_seed_outputs_are_pinned() {
             ),
             0x411c_ed11_c0a0_c197,
         ),
-        ("sim trace", masked(d, "S.jsonl"), 0x1224_2387_165a_9ea4),
+        ("sim trace", masked(d, "S.jsonl"), 0x0017_77f9_3df1_12be),
         ("sim flight dump", file(d, "F.jsonl"), 0xa5b4_c7d6_d938_b353),
     ];
     assert_pinned(&cases);
@@ -304,5 +308,19 @@ fn sim_honours_k() {
         fnv1a(&stdout(&dir, &["sim", "--horizon", "600"]))
     );
     assert_ne!(default, k5, "--k 5 printed the K = 10 table");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--lambda0` reaches the engine: `sim`, `profile` and `sweep` used to
+/// run at λ₀ = 0.25 whatever it said.
+#[test]
+fn sim_honours_lambda0() {
+    let dir = fresh_dir("btfluid_golden_lambda0_test");
+    let base = ["sim", "--scheme", "mfcd", "--horizon", "200", "--seed", "3"];
+    let default = stdout(&dir, &base);
+    let explicit = stdout(&dir, &[&base[..], &["--lambda0", "0.25"]].concat());
+    let busy = stdout(&dir, &[&base[..], &["--lambda0", "4"]].concat());
+    assert_eq!(default, explicit, "the default λ₀ is 0.25");
+    assert_ne!(default, busy, "--lambda0 4 printed the λ₀ = 0.25 table");
     let _ = std::fs::remove_dir_all(&dir);
 }

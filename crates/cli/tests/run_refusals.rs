@@ -118,6 +118,16 @@ fn run_flag_refusals_exit_2_everywhere() {
             vec!["--checked"],
             "need --scheme (one engine run, one checkpoint)",
         ),
+        (
+            &["sim", "profile", "sweep"],
+            vec!["--lambda0", "0"],
+            "--lambda0 must be positive and finite",
+        ),
+        (
+            &["sim", "profile", "sweep"],
+            vec!["--lambda0", "inf"],
+            "--lambda0 must be positive and finite",
+        ),
         (&["scenario"], vec!["--hybrid"], "--hybrid needs --scheme"),
         (
             &["scenario"],
@@ -161,7 +171,7 @@ fn run_flag_refusals_exit_2_everywhere() {
             rows += 1;
         }
     }
-    assert_eq!(rows, 30, "every table row must hit a command");
+    assert_eq!(rows, 36, "every table row must hit a command");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

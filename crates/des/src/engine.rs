@@ -14,8 +14,10 @@
 //!   progress is settled lazily ([`Peer::settle_slot`]) exactly when a
 //!   rate changes, so integration stays piecewise-exact.
 //! * **Event selection** uses an [`EventQueue`] (binary heap with
-//!   stamp-based lazy invalidation) instead of scanning; completion
-//!   deadlines are (re)pushed only for downloads whose rate changed.
+//!   stamp-based lazy invalidation) instead of scanning. Completions enter
+//!   it once per subtorrent: the cache keeps each file's earliest armed
+//!   deadline (its head) and an entry is pushed only when a head moves,
+//!   so the heap holds O(K + peers with a pending expiry) entries.
 //! * **Peers** live in a slab with a free list: departure leaves a
 //!   tombstone (`Phase::Departed`) whose slot is recycled by a later
 //!   arrival, keeping slab indices stable for heap entries and member
@@ -115,9 +117,11 @@ pub struct Simulation {
     /// Scratch buffer for changed-group ids (aggregate mode).
     agg_changed: Vec<u32>,
     queue: EventQueue,
-    /// Monotone stamp source for queue entries (0 means "no entry").
+    /// Monotone stamp source for expiry entries and download deadlines
+    /// (0 means "none armed").
     next_stamp: u64,
-    /// Number of live (non-stale) queue entries, for compaction.
+    /// Live expiry and aggregate-group entries in the queue; with the
+    /// cache's armed heads, the live entries compaction keeps.
     live: usize,
     /// Finished copies per file among present peers, plus origin seeds
     /// (rarest-first order policy).
@@ -128,7 +132,8 @@ pub struct Simulation {
     seed_pairs: Vec<usize>,
     traj_downloaders: usize,
     traj_seeds: usize,
-    changed_buf: Vec<(u32, u32)>,
+    /// Scratch: files whose completion head moved in the last refresh.
+    moved_buf: Vec<usize>,
     // Scenario-hook state. All of it is inert (`None` / unused) for
     // stationary runs, so the hot path pays only `Option` checks.
     hook: Option<Box<dyn ScenarioHook>>,
@@ -249,7 +254,7 @@ impl Simulation {
             seed_pairs: vec![0; k],
             traj_downloaders: 0,
             traj_seeds: 0,
-            changed_buf: Vec::new(),
+            moved_buf: Vec::new(),
             hook: None,
             rng_scenario,
             hook_gap: None,
@@ -1022,7 +1027,7 @@ impl Simulation {
             seed_pairs: vec![0; k],
             traj_downloaders: 0,
             traj_seeds: 0,
-            changed_buf: Vec::new(),
+            moved_buf: Vec::new(),
             hook: None,
             hook_gap: None,
             abort_bound: 0.0,
@@ -1061,9 +1066,11 @@ impl Simulation {
             sim.abort_bound = abort_bound;
             sim.hook = Some(h);
         }
-        // Rebuild the derived structures: cache memberships, population
-        // counters, holder counts, and the event heap (from the per-peer
-        // stamp bookkeeping, preserving stamp values).
+        // Rebuild the derived structures: cache memberships (armed slots
+        // join with their deadlines, which rebuilds the completion heads),
+        // population counters, holder counts, and the event heap (expiry
+        // entries from the per-peer stamps, preserving stamp values;
+        // completion heads after the rebuild refresh below).
         let n_slab = sim.peers.len();
         sim.cache_grow(n_slab);
         if sim.agg.is_none() {
@@ -1081,13 +1088,6 @@ impl Simulation {
                 }
                 continue;
             }
-            sim.cache_register(idx);
-            sim.add_counters(idx);
-            for s in 0..sim.peers[idx].class() {
-                if sim.peers[idx].finished(s) {
-                    sim.holders[sim.peers[idx].files[s] as usize] += 1;
-                }
-            }
             let peer = &sim.peers[idx];
             if aggregate && peer.comp_stamp.iter().any(|&s| s != 0) {
                 return Err(SnapshotError::Corrupt(format!(
@@ -1096,25 +1096,22 @@ impl Simulation {
                 .into());
             }
             for s in 0..peer.class() {
-                if peer.comp_stamp[s] == 0 {
-                    continue;
-                }
-                if !peer.comp_time[s].is_finite() {
+                if peer.comp_stamp[s] != 0 && !peer.comp_time[s].is_finite() {
                     return Err(SnapshotError::Corrupt(format!(
                         "peer {idx} slot {s}: armed completion at {}",
                         peer.comp_time[s]
                     ))
                     .into());
                 }
-                sim.queue.push(Entry {
-                    time: peer.comp_time[s],
-                    rank: RANK_COMPLETION,
-                    peer: idx as u32,
-                    slot: s as u32,
-                    stamp: peer.comp_stamp[s],
-                });
-                sim.live += 1;
             }
+            sim.cache_register(idx);
+            sim.add_counters(idx);
+            for s in 0..sim.peers[idx].class() {
+                if sim.peers[idx].finished(s) {
+                    sim.holders[sim.peers[idx].files[s] as usize] += 1;
+                }
+            }
+            let peer = &sim.peers[idx];
             if peer.expiry_stamp != 0 {
                 let mut deadline = f64::INFINITY;
                 for su in peer.seed_until.iter().flatten() {
@@ -1210,24 +1207,36 @@ impl Simulation {
             return Ok(sim);
         }
         // The rebuild refresh must be a bitwise no-op: every recomputed
-        // rate has to reproduce the serialized value. Anything else means
-        // the snapshot and the cache's resummation contract disagree.
-        let mut changed = Vec::new();
-        sim.cache.refresh(&mut sim.peers, t, false, &mut changed);
+        // rate has to reproduce the serialized value, so no deadline is
+        // re-armed. Anything else means the snapshot and the cache's
+        // resummation contract disagree.
+        let mut moved = Vec::new();
+        sim.cache
+            .refresh(&mut sim.peers, t, false, &mut sim.next_stamp, &mut moved);
         // The rebuild refresh is restore machinery, not simulated work:
         // drop its cache statistics so a resumed run's counters match an
         // uninterrupted one's.
         let _ = sim.cache.take_stats();
-        if !changed.is_empty() {
+        let same = |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
+        let drifted = (sim.peers.iter().zip(&snap.peers))
+            .filter(|(now, was)| {
+                !(same(&now.rate, &was.rate)
+                    && same(&now.vs_rate, &was.vs_rate)
+                    && same(&now.comp_time, &was.comp_time)
+                    && now.comp_stamp == was.comp_stamp)
+            })
+            .count();
+        if drifted > 0 {
             return Err(DesError::Invariant {
                 kind: InvariantKind::RateCacheDrift,
                 t,
                 detail: format!(
-                    "restore: {} download rates changed during cache rebuild",
-                    changed.len()
+                    "restore: {drifted} peers' download rates or deadlines changed \
+                     during cache rebuild"
                 ),
             });
         }
+        sim.push_heads(&moved);
         for (idx, (now, was)) in sim.peers.iter().zip(&snap.peers).enumerate() {
             if now.donation_rate.to_bits() != was.donation_rate.to_bits() {
                 return Err(DesError::Invariant {
@@ -1284,9 +1293,11 @@ impl Simulation {
         self.next_trace = self.t + 500.0;
     }
 
-    /// `checked`-mode audit: rate finiteness, queue/live consistency, and
-    /// bitwise agreement of the incremental rate cache with a from-scratch
-    /// recompute. O(peers) per call.
+    /// `checked`-mode audit: rate finiteness, queue consistency (one live
+    /// entry per armed completion head, expiry and aggregate group; each
+    /// head the earliest of its file's armed downloads), and bitwise
+    /// agreement of the incremental rate cache with a from-scratch
+    /// recompute. O(peers + queue) per call.
     fn validate_invariants(&self) -> Result<(), DesError> {
         let violation = |kind: InvariantKind, detail: String| {
             Err(DesError::Invariant {
@@ -1307,7 +1318,6 @@ impl Simulation {
                 }
                 continue;
             }
-            armed += p.comp_stamp.iter().filter(|&&s| s != 0).count();
             armed += usize::from(p.expiry_stamp != 0);
             for s in 0..p.class() {
                 let checks = [
@@ -1324,6 +1334,26 @@ impl Simulation {
                         );
                     }
                 }
+            }
+        }
+        // Live entries: completions must sit exactly at their file's head.
+        let (mut live_heads, mut live_other) = (0usize, 0usize);
+        for e in self.queue.iter().filter(|e| self.entry_is_live(e)) {
+            if e.rank != RANK_COMPLETION {
+                live_other += 1;
+                continue;
+            }
+            live_heads += 1;
+            let f = self.peers[e.peer as usize].files[e.slot as usize] as usize;
+            let h = self.cache.head(f);
+            if (h.due.to_bits(), h.peer, h.slot) != (e.time.to_bits(), e.peer, e.slot) {
+                return violation(
+                    InvariantKind::QueueInconsistency,
+                    format!(
+                        "file {f}: entry ({}, {}, {}) vs head ({}, {}, {})",
+                        e.time, e.peer, e.slot, h.due, h.peer, h.slot
+                    ),
+                );
             }
         }
         if let Some(agg) = self.agg.as_ref() {
@@ -1353,10 +1383,14 @@ impl Simulation {
             armed += (0..agg.n_groups() as u32)
                 .filter(|&g| agg.group_stamp(g) != 0)
                 .count();
-            if armed != self.live {
+            if armed != self.live || live_other != self.live || live_heads != 0 {
                 return violation(
                     InvariantKind::QueueInconsistency,
-                    format!("live counter {} vs {armed} armed stamps", self.live),
+                    format!(
+                        "live counter {} vs {armed} armed stamps, {live_other} live \
+                         entries, {live_heads} completion entries",
+                        self.live
+                    ),
                 );
             }
             // Group rates and integer aggregates vs. a from-scratch rebuild.
@@ -1368,11 +1402,57 @@ impl Simulation {
                     detail,
                 });
         }
-        if armed != self.live {
+        if armed != self.live || live_other != self.live {
             return violation(
                 InvariantKind::QueueInconsistency,
-                format!("live counter {} vs {armed} armed stamps", self.live),
+                format!(
+                    "live counter {} vs {armed} armed expiries, {live_other} live entries",
+                    self.live
+                ),
             );
+        }
+        if live_heads != self.cache.armed_heads() {
+            return violation(
+                InvariantKind::QueueInconsistency,
+                format!(
+                    "{live_heads} live completion entries for {} armed heads",
+                    self.cache.armed_heads()
+                ),
+            );
+        }
+        // Each head is the earliest armed download of its file, ties
+        // broken by (peer, slot).
+        let k = self.cfg.model.k() as usize;
+        let mut first = vec![(f64::INFINITY, u32::MAX, u32::MAX); k];
+        for (idx, p) in self.peers.iter().enumerate() {
+            if p.phase == Phase::Departed {
+                continue;
+            }
+            for s in 0..p.class() {
+                // Peers and slots ascend, so a strict `<` keeps the
+                // lowest (peer, slot) among equal deadlines.
+                let f = p.files[s] as usize;
+                if p.comp_stamp[s] != 0 && p.comp_time[s] < first[f].0 {
+                    first[f] = (p.comp_time[s], idx as u32, s as u32);
+                }
+            }
+        }
+        for (f, &(due, peer, slot)) in first.iter().enumerate() {
+            let h = self.cache.head(f);
+            let ok = if due < f64::INFINITY {
+                h.stamp != 0 && (h.due.to_bits(), h.peer, h.slot) == (due.to_bits(), peer, slot)
+            } else {
+                h.stamp == 0
+            };
+            if !ok {
+                return violation(
+                    InvariantKind::QueueInconsistency,
+                    format!(
+                        "file {f}: head ({}, {}, {}, stamp {}) vs earliest armed ({due}, {peer}, {slot})",
+                        h.due, h.peer, h.slot, h.stamp
+                    ),
+                );
+            }
         }
         // Full recompute vs. the incrementally maintained per-peer rates.
         let fresh = compute_rates(
@@ -1414,8 +1494,12 @@ impl Simulation {
     }
 
     /// Finds the earliest pending event: arrival and epoch are single
-    /// registers; completions and expiries come from the heap, discarding
-    /// stale entries from its top.
+    /// registers; completions (one entry per subtorrent head) and expiries
+    /// come from the heap, discarding stale entries from its top.
+    ///
+    /// The heap orders entries by `(time, rank, peer, slot)`, and each
+    /// head is its file's least `(time, peer, slot)`, so the completion
+    /// popped is the one a heap holding every armed download would pop.
     fn next_event(&mut self, end: f64) -> (f64, Event) {
         let mut t_best = end;
         let mut best = Event::End;
@@ -1449,18 +1533,11 @@ impl Simulation {
                 self.counters.stale_discards += 1;
                 continue;
             }
-            if e.rank == RANK_COMPLETION {
+            if e.rank == RANK_AGG {
                 // A slowdown since the push only recorded the later
-                // deadline; reinsert the entry at its true time.
-                let due = self.peers[e.peer as usize].comp_time[e.slot as usize];
-                if e.time < due {
-                    self.queue.pop();
-                    self.queue.push(Entry { time: due, ..e });
-                    continue;
-                }
-            } else if e.rank == RANK_AGG {
-                // Same lazy-later correction, keyed on the group's hazard
-                // deadline rather than a per-peer comp_time.
+                // hazard deadline; reinsert the entry at its true time.
+                // (Completion heads are re-pushed whenever they move, so
+                // a live completion entry is always on time.)
                 let due = self
                     .agg
                     .as_ref()
@@ -1475,7 +1552,9 @@ impl Simulation {
             if e.time < t_best {
                 self.queue.pop();
                 self.counters.events_popped += 1;
-                self.live -= 1;
+                if e.rank != RANK_COMPLETION {
+                    self.live -= 1;
+                }
                 if e.rank == RANK_AGG {
                     // Aggregate completion: the group's total hazard fired;
                     // only now decide *which* member finished. Canonical draw
@@ -1496,15 +1575,14 @@ impl Simulation {
                     if let Some(p) = self.profiler.as_mut() {
                         p.leave(ProfPhase::MemberSample);
                     }
+                } else if e.rank == RANK_COMPLETION {
+                    // The handler's touch disarms the download itself.
+                    let f = self.peers[e.peer as usize].files[e.slot as usize];
+                    self.cache.consume_head(f as usize);
+                    best = Event::Completion(e.peer as usize, e.slot as usize);
                 } else {
-                    let peer = &mut self.peers[e.peer as usize];
-                    if e.rank == RANK_COMPLETION {
-                        peer.comp_stamp[e.slot as usize] = 0;
-                        best = Event::Completion(e.peer as usize, e.slot as usize);
-                    } else {
-                        peer.expiry_stamp = 0;
-                        best = Event::SeedExpiry(e.peer as usize);
-                    }
+                    self.peers[e.peer as usize].expiry_stamp = 0;
+                    best = Event::SeedExpiry(e.peer as usize);
                 }
                 t_best = e.time;
             }
@@ -1513,56 +1591,44 @@ impl Simulation {
         (t_best.max(self.t), best)
     }
 
-    /// Runs the cache refresh, then (re)schedules completion deadlines for
-    /// every download whose rate changed and compacts the heap when stale
+    /// Runs the cache refresh (which re-arms the deadline of every
+    /// download whose rate changed), pushes one completion entry per
+    /// subtorrent whose head moved, and compacts the heap when stale
     /// entries dominate.
     fn refresh_rates(&mut self, force: bool) {
         if self.agg.is_some() {
             return self.refresh_rates_agg(force);
         }
-        let mut changed = std::mem::take(&mut self.changed_buf);
-        self.cache
-            .refresh(&mut self.peers, self.t, force, &mut changed);
+        let mut moved = std::mem::take(&mut self.moved_buf);
+        self.cache.refresh(
+            &mut self.peers,
+            self.t,
+            force,
+            &mut self.next_stamp,
+            &mut moved,
+        );
         let (recomputes, clean) = self.cache.take_stats();
         self.counters.rate_recomputes += recomputes;
         self.counters.rate_clean_hits += clean;
-        for &(p, s) in &changed {
-            let (pi, si) = (p as usize, s as usize);
-            let peer = &mut self.peers[pi];
-            if !(peer.rate[si] > 0.0 && peer.remaining[si] > 0.0) {
-                if peer.comp_stamp[si] != 0 {
-                    peer.comp_stamp[si] = 0;
-                    self.live -= 1;
-                }
-                continue;
-            }
-            let time = self.t + peer.remaining[si] / peer.rate[si];
-            if peer.comp_stamp[si] != 0 && time >= peer.comp_time[si] {
-                // Deadline unchanged or moved later: record it and let
-                // `next_event` correct the (too early) heap entry lazily —
-                // this skips a heap push for every slowdown, the common
-                // case when an arrival dilutes a subtorrent's pools.
-                peer.comp_time[si] = time;
-                continue;
-            }
-            if peer.comp_stamp[si] == 0 {
-                self.live += 1;
-            }
-            let stamp = self.next_stamp;
-            self.next_stamp += 1;
-            peer.comp_stamp[si] = stamp;
-            peer.comp_time[si] = time;
-            self.queue.push(Entry {
-                time,
-                rank: RANK_COMPLETION,
-                peer: p,
-                slot: s,
-                stamp,
-            });
-        }
-        changed.clear();
-        self.changed_buf = changed;
+        self.push_heads(&moved);
+        self.moved_buf = moved;
         self.compact_queue();
+    }
+
+    /// Pushes the completion entry of each armed head among `files`.
+    fn push_heads(&mut self, files: &[usize]) {
+        for &f in files {
+            let head = self.cache.head(f);
+            if head.stamp != 0 {
+                self.queue.push(Entry {
+                    time: head.due,
+                    rank: RANK_COMPLETION,
+                    peer: head.peer,
+                    slot: head.slot,
+                    stamp: head.stamp,
+                });
+            }
+        }
     }
 
     /// Aggregate-mode counterpart of [`Self::refresh_rates`]: refreshes the
@@ -1613,7 +1679,8 @@ impl Simulation {
 
     /// Drops stale entries when they dominate the heap.
     fn compact_queue(&mut self) {
-        if self.queue.len() > 256 && self.queue.len() > 4 * self.live {
+        let live = self.live + self.cache.armed_heads();
+        if self.queue.len() > 256 && self.queue.len() > 4 * live {
             for e in self.queue.drain() {
                 if self.entry_is_live(&e) {
                     self.queue.push(e);
@@ -1623,8 +1690,10 @@ impl Simulation {
     }
 
     /// Whether a heap entry still refers to a pending deadline. Stamps are
-    /// globally unique and zeroed on invalidation, so a stale entry can
-    /// never match — but its slot index may exceed the class of a peer
+    /// unique (expiry and group stamps share one sequence, completion
+    /// heads have their own) and zeroed on invalidation, so a stale entry
+    /// can never match. A completion entry is checked against the head of
+    /// its download's file; its slot index may exceed the class of a peer
     /// that has since recycled the slab position, hence the bounds guard.
     fn entry_is_live(&self, e: &Entry) -> bool {
         match e.rank {
@@ -1632,9 +1701,10 @@ impl Simulation {
                 .agg
                 .as_ref()
                 .is_some_and(|a| a.group_stamp(e.peer) == e.stamp),
-            RANK_COMPLETION => {
-                self.peers[e.peer as usize].comp_stamp.get(e.slot as usize) == Some(&e.stamp)
-            }
+            RANK_COMPLETION => self.peers[e.peer as usize]
+                .files
+                .get(e.slot as usize)
+                .is_some_and(|&f| self.cache.head(f as usize).stamp == e.stamp),
             _ => self.peers[e.peer as usize].expiry_stamp == e.stamp,
         }
     }
@@ -1667,9 +1737,11 @@ impl Simulation {
     }
 
     /// Begins a touch: settles the peer's accruals at `t`, zeroes its
-    /// cached rates, invalidates its queue entries, removes its counter
-    /// contributions and cache memberships. Returns whether the peer was
-    /// downloading (for the active-time transition in [`Self::touch_end`]).
+    /// cached rates, disarms its deadlines (its expiry entry goes stale
+    /// now; the heads of its files move at the next refresh), removes its
+    /// counter contributions and cache memberships. Returns whether the
+    /// peer was downloading (for the active-time transition in
+    /// [`Self::touch_end`]).
     fn touch_begin(&mut self, idx: usize) -> bool {
         self.sub_counters(idx);
         let t = self.t;
@@ -1678,10 +1750,7 @@ impl Simulation {
             peer.settle_slot(s, t);
             peer.rate[s] = 0.0;
             peer.vs_rate[s] = 0.0;
-            if peer.comp_stamp[s] != 0 {
-                peer.comp_stamp[s] = 0;
-                self.live -= 1;
-            }
+            peer.comp_stamp[s] = 0;
         }
         peer.settle_donation(t);
         peer.donation_rate = 0.0;

@@ -6,13 +6,14 @@
 //! selection is O(log n).
 //!
 //! Entries are never removed eagerly when a deadline changes. Instead each
-//! entry carries a `stamp` drawn from a global monotone counter, and the
-//! engine stores the stamp of the *current* entry for each (peer, slot)
-//! completion and each peer expiry on the peer itself
-//! ([`crate::peer::Peer::comp_stamp`] / [`crate::peer::Peer::expiry_stamp`]).
-//! An entry whose stamp no longer matches is stale and is discarded when it
-//! reaches the top of the heap ("lazy invalidation"). The engine
-//! periodically compacts the heap when stale entries dominate.
+//! entry carries a `stamp` drawn from a monotone counter, and the owner of
+//! the deadline stores the stamp of its *current* entry: the peer for its
+//! expiry ([`crate::peer::Peer::expiry_stamp`]), the rate cache for each
+//! subtorrent's completion head ([`crate::rate_cache::Head::stamp`]), the
+//! aggregate cache for each group. An entry whose stamp no longer matches
+//! is stale and is discarded when it reaches the top of the heap ("lazy
+//! invalidation"). The engine periodically compacts the heap when stale
+//! entries dominate.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -101,6 +102,11 @@ impl EventQueue {
     /// Whether the queue holds no entries at all.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
+    }
+
+    /// Every entry, stale or not, in arbitrary order (audits).
+    pub fn iter(&self) -> impl Iterator<Item = Entry> + '_ {
+        self.heap.iter().map(|r| r.0)
     }
 
     /// Empties the queue, returning all entries in arbitrary order

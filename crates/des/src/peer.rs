@@ -79,13 +79,14 @@ pub struct Peer {
     /// When the current [`Phase::Downloading`] stretch began (feeds
     /// [`Peer::download_time_acc`] on the next phase transition).
     pub active_since: f64,
-    /// Event-queue stamp of the pending completion entry per slot
-    /// (0 = no entry scheduled).
+    /// Stamp of the slot's armed completion deadline (0 = none armed),
+    /// drawn from the engine's stamp sequence when the deadline is first
+    /// armed or moves earlier. The event heap holds one entry per
+    /// subtorrent (the rate cache's head), not one per slot.
     pub comp_stamp: Vec<u64>,
-    /// The slot's true completion deadline, meaningful while
-    /// [`Peer::comp_stamp`] is non-zero. A rate *decrease* only moves the
-    /// deadline later, so the engine records it here instead of re-pushing
-    /// a heap entry; the stale (too early) entry is corrected at pop time.
+    /// The slot's completion deadline, meaningful while
+    /// [`Peer::comp_stamp`] is non-zero. A rate *decrease* moves it later
+    /// under the same stamp.
     pub comp_time: Vec<f64>,
     /// Event-queue stamp of the pending seed-expiry/departure entry
     /// (0 = none).

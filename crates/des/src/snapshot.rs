@@ -17,11 +17,14 @@
 //!   must be a bitwise no-op (a non-empty change set means the snapshot
 //!   and the rebuild disagree and restore fails with
 //!   [`crate::DesError::Invariant`]). Heap entries are rebuilt from the
-//!   per-peer `comp_stamp`/`comp_time`/`expiry_stamp` bookkeeping; the
-//!   stamp values are preserved, so future pushes continue the same
-//!   monotone stamp sequence. Stale entries and lazy-later corrections
-//!   are invisible to the dispatched event order (live entries are unique
-//!   per `(time, rank, peer, slot)`), so dropping them is sound.
+//!   per-peer bookkeeping: one expiry entry per `expiry_stamp` (stamp
+//!   values preserved, so future pushes continue the same monotone stamp
+//!   sequence), and one completion entry per subtorrent head, found from
+//!   the armed `comp_stamp`/`comp_time` slots. Stale entries and
+//!   lazy-later corrections are invisible to the dispatched event order
+//!   (live entries are unique per `(time, rank, peer, slot)`), so dropping
+//!   them is sound; only the queue-shape counters `stale_discards` and
+//!   `heap_peak` of a resumed run differ from an uninterrupted one's.
 //! * Per-class population counters and rarest-first holder counts: both
 //!   are recomputed from the restored slab.
 //! * The `BTFLUID_DES_TRACE` debug state: stderr tracing is not part of
@@ -287,6 +290,17 @@ impl Snapshot {
     /// Events dispatched before the snapshot was taken.
     pub fn events(&self) -> u64 {
         self.outcome.events
+    }
+
+    /// The snapshot with its queue-shape counters (`stale_discards`,
+    /// `heap_peak`) zeroed. They record the event heap's physical history,
+    /// which restore rebuilds compact (DESIGN.md §12), so byte pins that
+    /// must not depend on the queue's layout encode this view.
+    #[must_use]
+    pub fn without_queue_shape(mut self) -> Self {
+        self.counters.stale_discards = 0;
+        self.counters.heap_peak = 0;
+        self
     }
 
     /// Encodes to the versioned, checksummed byte format.

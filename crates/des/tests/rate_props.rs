@@ -44,11 +44,10 @@ fn build_incrementally(
 ) -> RateCache {
     let mut cache = RateCache::new(K, scheme, params, origin);
     cache.grow(peers.len());
-    let mut changed = Vec::new();
+    let (mut stamps, mut moved) = (1, Vec::new());
     for idx in 0..peers.len() {
         cache.register(idx, peers);
-        cache.refresh(peers, 0.0, false, &mut changed);
-        changed.clear();
+        cache.refresh(peers, 0.0, false, &mut stamps, &mut moved);
     }
     cache
 }
@@ -98,6 +97,46 @@ fn assert_matches_full(
         );
     }
     Ok(())
+}
+
+/// Each file's earliest armed download straight from the peers'
+/// deadlines, ties to the lowest `(peer, slot)`: what
+/// `RateCache::head` must report.
+fn earliest_armed(peers: &[Peer]) -> [Option<(f64, u32, u32)>; K] {
+    let mut first: [Option<(f64, u32, u32)>; K] = [None; K];
+    for (idx, p) in peers.iter().enumerate() {
+        for s in 0..p.class() {
+            let f = p.files[s] as usize;
+            let due = p.comp_time[s];
+            if p.comp_stamp[s] != 0 && first[f].is_none_or(|(d, _, _)| due < d) {
+                first[f] = Some((due, idx as u32, s as u32));
+            }
+        }
+    }
+    first
+}
+
+/// The engine's touch around a mutation: settle and disarm the peer,
+/// deregister it, mutate, register it again.
+fn touch(
+    cache: &mut RateCache,
+    peers: &mut [Peer],
+    idx: usize,
+    t: f64,
+    mutate: impl FnOnce(&mut Peer),
+) {
+    let p = &mut peers[idx];
+    for s in 0..p.class() {
+        p.settle_slot(s, t);
+        p.rate[s] = 0.0;
+        p.vs_rate[s] = 0.0;
+        p.comp_stamp[s] = 0;
+    }
+    p.settle_donation(t);
+    p.donation_rate = 0.0;
+    cache.deregister(idx, peers);
+    mutate(&mut peers[idx]);
+    cache.register(idx, peers);
 }
 
 /// Strategy: a random CMFSD peer in a consistent state.
@@ -225,7 +264,7 @@ proptest! {
         let scheme = SchemeKind::Cmfsd { rho: 0.5 };
         let mut peers = peers.clone();
         let mut cache = build_incrementally(&mut peers, scheme, &params, origin);
-        let mut changed = Vec::new();
+        let (mut stamps, mut moved) = (1_000, Vec::new());
         for idx in 0..peers.len() {
             if peers[idx].phase != Phase::Downloading {
                 continue;
@@ -239,9 +278,67 @@ proptest! {
                 peers[idx].phase = Phase::SeedingAll;
             }
             cache.register(idx, &peers);
-            cache.refresh(&mut peers, 0.0, false, &mut changed);
-            changed.clear();
+            cache.refresh(&mut peers, 0.0, false, &mut stamps, &mut moved);
             assert_matches_full(&cache, &peers, scheme, &params, origin)?;
+        }
+    }
+
+    #[test]
+    fn heads_match_brute_force_min(
+        peers in population(),
+        origin in 0usize..3,
+        ops in prop::collection::vec((0usize..20, 0u8..4), 1..24),
+    ) {
+        // Across completions, ρ changes (a touched peer re-rated with no
+        // weight change), forced refreshes and popped heads, under every
+        // scheme: each file's head is the earliest armed download, and
+        // exactly the files whose head changed (or was popped) are
+        // reported, under fresh stamps.
+        let params = FluidParams::paper();
+        for scheme in ALL_SCHEMES {
+            let mut peers = peers.clone();
+            let mut cache = build_incrementally(&mut peers, scheme, &params, origin);
+            let (mut stamps, mut moved) = (1_000, Vec::new());
+            for (step, &(who, op)) in ops.iter().enumerate() {
+                let t = 1.0 + step as f64;
+                let idx = who % peers.len();
+                let before: Vec<_> = (0..K).map(|f| cache.head(f)).collect();
+                let downloading = peers[idx].phase == Phase::Downloading;
+                match op {
+                    0 if downloading => touch(&mut cache, &mut peers, idx, t, |p| {
+                        let slot = p.current_slot();
+                        p.remaining[slot] = 0.0;
+                        p.completed_at[slot] = Some(t);
+                        p.cursor += 1;
+                        if p.cursor >= p.class() {
+                            p.phase = Phase::SeedingAll;
+                        }
+                    }),
+                    1 => touch(&mut cache, &mut peers, idx, t, |p| {
+                        p.rho = (p.rho + 0.37) % 1.0;
+                    }),
+                    3 => cache.consume_head(who % K),
+                    _ => {}
+                }
+                cache.refresh(&mut peers, t, op == 2, &mut stamps, &mut moved);
+                assert_matches_full(&cache, &peers, scheme, &params, origin)?;
+                let want = earliest_armed(&peers);
+                for f in 0..K {
+                    let (h, was) = (cache.head(f), before[f]);
+                    match want[f] {
+                        Some((due, peer, slot)) => {
+                            prop_assert!(h.stamp != 0, "{}: file {f} unarmed", scheme.name());
+                            prop_assert_eq!((h.due.to_bits(), h.peer, h.slot), (due.to_bits(), peer, slot));
+                        }
+                        None => prop_assert_eq!(h.stamp, 0, "{}: file {f} armed", scheme.name()),
+                    }
+                    if moved.contains(&f) {
+                        prop_assert!(h.stamp == 0 || h.stamp != was.stamp);
+                    } else {
+                        prop_assert_eq!(h, was, "{}: file {f} moved unreported", scheme.name());
+                    }
+                }
+            }
         }
     }
 
@@ -293,4 +390,25 @@ proptest! {
             prop_assert!(d.rate >= floor - 1e-12);
         }
     }
+}
+
+/// Equal deadlines order by `(peer, slot)`, as equal-time heap entries
+/// pop: a touched download that ties the head from a lower slab index
+/// takes it without a rescan.
+#[test]
+fn equal_deadlines_go_to_the_lower_peer() {
+    let params = FluidParams::paper();
+    let mut peers: Vec<Peer> = (0..2)
+        .map(|id| Peer::new(id, 0.0, vec![0], vec![0], 1.0))
+        .collect();
+    peers[0].remaining[0] = 2.0;
+    let mut cache = build_incrementally(&mut peers, SchemeKind::Mtsd, &params, 0);
+    assert_eq!(cache.head(0).peer, 1, "peer 1 has half the work left");
+    touch(&mut cache, &mut peers, 0, 0.0, |p| p.remaining[0] = 1.0);
+    let (mut stamps, mut moved) = (1_000, Vec::new());
+    cache.refresh(&mut peers, 0.0, false, &mut stamps, &mut moved);
+    assert_eq!(peers[0].comp_time[0], peers[1].comp_time[0]);
+    let head = cache.head(0);
+    assert_eq!((head.peer, head.slot), (0, 0));
+    assert_eq!(moved, vec![0]);
 }
