@@ -178,7 +178,7 @@ fn fixed_seed_outputs_are_pinned() {
                     "--hybrid",
                 ],
             ),
-            0xfecb_0b15_3815_d7d6,
+            0x61e6_6712_08e3_bcd5,
         ),
         (
             "trace gen",
@@ -221,7 +221,7 @@ fn fixed_seed_outputs_are_pinned() {
             ),
             0xfde1_a5c1_983a_c363,
         ),
-        ("sweep journal", masked(d, "M.jsonl"), 0x50f7_5163_0255_4377),
+        ("sweep journal", masked(d, "M.jsonl"), 0x67d7_9ba8_5c60_a758),
         (
             "sim --trace --flightrec",
             stdout(
@@ -242,8 +242,8 @@ fn fixed_seed_outputs_are_pinned() {
             ),
             0x411c_ed11_c0a0_c197,
         ),
-        ("sim trace", masked(d, "S.jsonl"), 0x0017_77f9_3df1_12be),
-        ("sim flight dump", file(d, "F.jsonl"), 0xa5b4_c7d6_d938_b353),
+        ("sim trace", masked(d, "S.jsonl"), 0xae2c_a6e4_f8b1_e0d4),
+        ("sim flight dump", file(d, "F.jsonl"), 0x2caa_c216_e28c_b183),
     ];
     assert_pinned(&cases);
     let _ = std::fs::remove_dir_all(&dir);
@@ -291,7 +291,7 @@ fn crash_sweep_artifacts_are_pinned() {
         (
             "flightrec.jsonl",
             file(&bundle, "flightrec.jsonl"),
-            0x5c2d_08f3_933f_f103,
+            0xe2d2_746b_b0d4_af6e,
         ),
     ]);
     let _ = std::fs::remove_dir_all(&dir);
@@ -308,6 +308,36 @@ fn sim_honours_k() {
         fnv1a(&stdout(&dir, &["sim", "--horizon", "600"]))
     );
     assert_ne!(default, k5, "--k 5 printed the K = 10 table");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The rate cache's memory grows with the classes present, not with K²:
+/// the largest K a file id can name runs under the demand-aware schemes,
+/// which re-split every pool on each weight change.
+#[test]
+fn sim_runs_at_the_largest_k() {
+    let dir = fresh_dir("btfluid_golden_large_k_test");
+    for scheme in ["mfcd", "cmfsd:0.5"] {
+        let out = stdout(
+            &dir,
+            &[
+                "sim",
+                "--scheme",
+                scheme,
+                "--k",
+                "65535",
+                "--p",
+                "0.00005",
+                "--lambda0",
+                "4",
+                "--horizon",
+                "60",
+                "--seed",
+                "3",
+            ],
+        );
+        assert!(!out.is_empty(), "{scheme}: no table");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -9,15 +9,18 @@
 //! This engine replaces all three with incremental structures:
 //!
 //! * **Rates** live in a [`RateCache`]: per-subtorrent aggregates
-//!   (`weight`, `pool_real`, `pool_virtual`) plus ordered member lists,
-//!   recomputed only for subtorrents an event actually touched. Download
-//!   progress is settled lazily ([`Peer::settle_slot`]) exactly when a
-//!   rate changes, so integration stays piecewise-exact.
-//! * **Event selection** uses an [`EventQueue`] (binary heap with
-//!   stamp-based lazy invalidation) instead of scanning. Completions enter
-//!   it once per subtorrent: the cache keeps each file's earliest armed
-//!   deadline (its head) and an entry is pushed only when a head moves,
-//!   so the heap holds O(K + peers with a pending expiry) entries.
+//!   (`weight`, `pool_real`, `pool_virtual`) recomputed only for
+//!   subtorrents an event actually touched, and one virtual clock per
+//!   subtorrent that integrates its pool. A download's progress follows
+//!   from its finish tag and its group's clock, so a pool change costs
+//!   O(groups of the file), not O(downloaders); progress is folded into
+//!   the peer when the peer is next touched.
+//! * **Event selection** merges two heaps instead of scanning: the
+//!   cache's `IndexedHeap` of per-subtorrent
+//!   completion heads (each file's earliest completion, updated in place
+//!   when it moves) and an [`EventQueue`] (binary heap with stamp-based
+//!   lazy invalidation) for seed expiries, so the lazy heap holds
+//!   O(peers with a pending expiry) entries.
 //! * **Peers** live in a slab with a free list: departure leaves a
 //!   tombstone (`Phase::Departed`) whose slot is recycled by a later
 //!   arrival, keeping slab indices stable for heap entries and member
@@ -26,16 +29,16 @@
 //!
 //! Setting [`DesConfig::exact_rates`] forces a full aggregate/rate
 //! recompute on every event through the *same* code path (the cache's
-//! `force` flag). Because every recompute re-sums an ordered member list,
-//! a forced recompute of an unchanged aggregate reproduces its bits, so
-//! both modes yield bit-identical trajectories — asserted by the
+//! `force` flag). Because every aggregate is a canonical sum, a forced
+//! recompute of an unchanged aggregate reproduces its bits and moves no
+//! clock, so both modes yield bit-identical trajectories — asserted by the
 //! `equivalence` integration test over all four schemes.
 
 use crate::adapt::assign_arrival_policy;
 use crate::agg::AggCache;
 use crate::config::{DesConfig, OrderPolicy, SchemeKind};
 use crate::error::{DesError, InvariantKind};
-use crate::event_queue::{Entry, EventQueue, RANK_AGG, RANK_COMPLETION, RANK_EXPIRY};
+use crate::event_queue::{Entry, EventQueue, RANK_AGG, RANK_EXPIRY};
 use crate::hook::ScenarioHook;
 use crate::observer::{AbortRecord, SimOutcome, UserRecord};
 use crate::peer::{Peer, Phase};
@@ -117,11 +120,11 @@ pub struct Simulation {
     /// Scratch buffer for changed-group ids (aggregate mode).
     agg_changed: Vec<u32>,
     queue: EventQueue,
-    /// Monotone stamp source for expiry entries and download deadlines
-    /// (0 means "none armed").
+    /// Monotone stamp source for expiry and aggregate-group entries (0
+    /// means "none armed").
     next_stamp: u64,
-    /// Live expiry and aggregate-group entries in the queue; with the
-    /// cache's armed heads, the live entries compaction keeps.
+    /// Live expiry and aggregate-group entries in the queue: the entries
+    /// compaction keeps.
     live: usize,
     /// Finished copies per file among present peers, plus origin seeds
     /// (rarest-first order policy).
@@ -132,8 +135,6 @@ pub struct Simulation {
     seed_pairs: Vec<usize>,
     traj_downloaders: usize,
     traj_seeds: usize,
-    /// Scratch: files whose completion head moved in the last refresh.
-    moved_buf: Vec<usize>,
     // Scenario-hook state. All of it is inert (`None` / unused) for
     // stationary runs, so the hot path pays only `Option` checks.
     hook: Option<Box<dyn ScenarioHook>>,
@@ -254,7 +255,6 @@ impl Simulation {
             seed_pairs: vec![0; k],
             traj_downloaders: 0,
             traj_seeds: 0,
-            moved_buf: Vec::new(),
             hook: None,
             rng_scenario,
             hook_gap: None,
@@ -734,14 +734,13 @@ impl Simulation {
         // Settle everyone still alive so censored diagnostics reflect the
         // hard stop.
         let t = self.t;
+        if self.agg.is_none() {
+            self.cache.settle_all(&mut self.peers, t);
+        }
         for peer in &mut self.peers {
-            if peer.phase == Phase::Departed {
-                continue;
+            if peer.phase != Phase::Departed {
+                peer.settle_donation(t);
             }
-            for s in 0..peer.class() {
-                peer.settle_slot(s, t);
-            }
-            peer.settle_donation(t);
         }
         // Whatever is still alive is censored (if it would have counted).
         let warmup = self.cfg.warmup;
@@ -785,7 +784,9 @@ impl Simulation {
     }
 
     /// The peer slab. Contains departed tombstones — filter on
-    /// [`Phase::Departed`] before aggregating.
+    /// [`Phase::Departed`] before aggregating. A downloading slot's
+    /// [`Peer::remaining`] is its value at the peer's last touch (see
+    /// [`Peer::tag`]); finished slots read zero.
     pub fn peers(&self) -> &[Peer] {
         &self.peers
     }
@@ -899,6 +900,11 @@ impl Simulation {
             counters: self.counters,
             next_sample: self.next_sample,
             last_delta: self.last_delta,
+            clocks: if self.agg.is_none() {
+                self.cache.clocks().to_vec()
+            } else {
+                Vec::new()
+            },
             agg,
         }
     }
@@ -1027,7 +1033,6 @@ impl Simulation {
             seed_pairs: vec![0; k],
             traj_downloaders: 0,
             traj_seeds: 0,
-            moved_buf: Vec::new(),
             hook: None,
             hook_gap: None,
             abort_bound: 0.0,
@@ -1066,21 +1071,27 @@ impl Simulation {
             sim.abort_bound = abort_bound;
             sim.hook = Some(h);
         }
-        // Rebuild the derived structures: cache memberships (armed slots
-        // join with their deadlines, which rebuilds the completion heads),
+        // Rebuild the derived structures: cache memberships (downloads
+        // rejoin their groups under the tags they carry, against the
+        // serialized clocks, which rebuilds the completion heads),
         // population counters, holder counts, and the event heap (expiry
-        // entries from the per-peer stamps, preserving stamp values;
-        // completion heads after the rebuild refresh below).
+        // entries from the per-peer stamps, preserving stamp values).
         let n_slab = sim.peers.len();
         sim.cache_grow(n_slab);
         if sim.agg.is_none() {
+            if snap.clocks.len() != k {
+                return Err(SnapshotError::Corrupt(format!(
+                    "snapshot carries {} clocks, config has {k} files",
+                    snap.clocks.len()
+                ))
+                .into());
+            }
             sim.cache.set_origin_seeds(origin_now);
+            sim.cache.set_clocks(&snap.clocks);
         }
-        let aggregate = sim.agg.is_some();
         for idx in 0..sim.peers.len() {
             if sim.peers[idx].phase == Phase::Departed {
-                let p = &sim.peers[idx];
-                if p.expiry_stamp != 0 || p.comp_stamp.iter().any(|&s| s != 0) {
+                if sim.peers[idx].expiry_stamp != 0 {
                     return Err(SnapshotError::Corrupt(format!(
                         "departed peer {idx} still holds an armed stamp"
                     ))
@@ -1089,22 +1100,17 @@ impl Simulation {
                 continue;
             }
             let peer = &sim.peers[idx];
-            if aggregate && peer.comp_stamp.iter().any(|&s| s != 0) {
+            if let Some(s) = (0..peer.class()).find(|&s| !peer.tag[s].is_finite()) {
                 return Err(SnapshotError::Corrupt(format!(
-                    "peer {idx}: per-peer completion armed in an aggregate snapshot"
+                    "peer {idx} slot {s}: finish tag {}",
+                    peer.tag[s]
                 ))
                 .into());
             }
-            for s in 0..peer.class() {
-                if peer.comp_stamp[s] != 0 && !peer.comp_time[s].is_finite() {
-                    return Err(SnapshotError::Corrupt(format!(
-                        "peer {idx} slot {s}: armed completion at {}",
-                        peer.comp_time[s]
-                    ))
-                    .into());
-                }
+            match sim.agg.as_mut() {
+                Some(agg) => agg.register(idx, &sim.peers),
+                None => sim.cache.rejoin(idx, &sim.peers),
             }
-            sim.cache_register(idx);
             sim.add_counters(idx);
             for s in 0..sim.peers[idx].class() {
                 if sim.peers[idx].finished(s) {
@@ -1207,36 +1213,25 @@ impl Simulation {
             return Ok(sim);
         }
         // The rebuild refresh must be a bitwise no-op: every recomputed
-        // rate has to reproduce the serialized value, so no deadline is
-        // re-armed. Anything else means the snapshot and the cache's
-        // resummation contract disagree.
-        let mut moved = Vec::new();
-        sim.cache
-            .refresh(&mut sim.peers, t, false, &mut sim.next_stamp, &mut moved);
+        // pool has to reproduce the serialized clock rates, so no clock is
+        // re-anchored. Anything else means the snapshot and the cache's
+        // canonical-sum contract disagree.
+        sim.cache.refresh(&mut sim.peers, t, false);
         // The rebuild refresh is restore machinery, not simulated work:
         // drop its cache statistics so a resumed run's counters match an
         // uninterrupted one's.
         let _ = sim.cache.take_stats();
-        let same = |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
-        let drifted = (sim.peers.iter().zip(&snap.peers))
-            .filter(|(now, was)| {
-                !(same(&now.rate, &was.rate)
-                    && same(&now.vs_rate, &was.vs_rate)
-                    && same(&now.comp_time, &was.comp_time)
-                    && now.comp_stamp == was.comp_stamp)
-            })
-            .count();
-        if drifted > 0 {
+        if let Some(f) = (0..k).find(|&f| sim.cache.clocks()[f] != snap.clocks[f]) {
             return Err(DesError::Invariant {
                 kind: InvariantKind::RateCacheDrift,
                 t,
                 detail: format!(
-                    "restore: {drifted} peers' download rates or deadlines changed \
-                     during cache rebuild"
+                    "restore: file {f} clock {:?} rebuilt as {:?}",
+                    snap.clocks[f],
+                    sim.cache.clocks()[f]
                 ),
             });
         }
-        sim.push_heads(&moved);
         for (idx, (now, was)) in sim.peers.iter().zip(&snap.peers).enumerate() {
             if now.donation_rate.to_bits() != was.donation_rate.to_bits() {
                 return Err(DesError::Invariant {
@@ -1294,10 +1289,10 @@ impl Simulation {
     }
 
     /// `checked`-mode audit: rate finiteness, queue consistency (one live
-    /// entry per armed completion head, expiry and aggregate group; each
-    /// head the earliest of its file's armed downloads), and bitwise
-    /// agreement of the incremental rate cache with a from-scratch
-    /// recompute. O(peers + queue) per call.
+    /// entry per armed expiry and aggregate group), the rate cache's
+    /// clocks and heads against brute force, and bitwise agreement of
+    /// every materialized rate with a from-scratch recompute. O(peers +
+    /// queue) per call.
     fn validate_invariants(&self) -> Result<(), DesError> {
         let violation = |kind: InvariantKind, detail: String| {
             Err(DesError::Invariant {
@@ -1306,11 +1301,12 @@ impl Simulation {
                 detail,
             })
         };
+        let aggregate = self.agg.is_some();
         let mut armed = 0usize;
         for (idx, p) in self.peers.iter().enumerate() {
             if p.phase == Phase::Departed {
-                // Tombstones must hold no armed deadlines.
-                if p.expiry_stamp != 0 || p.comp_stamp.iter().any(|&s| s != 0) {
+                // Tombstones must hold no armed deadline or membership.
+                if p.expiry_stamp != 0 || (!aggregate && self.cache.is_registered(idx)) {
                     return violation(
                         InvariantKind::QueueInconsistency,
                         format!("departed peer {idx} still holds an armed stamp"),
@@ -1319,12 +1315,24 @@ impl Simulation {
                 continue;
             }
             armed += usize::from(p.expiry_stamp != 0);
+            if !p.donation_rate.is_finite() || p.donation_rate < 0.0 {
+                return violation(
+                    InvariantKind::NonFiniteRate,
+                    format!("peer {idx}: donation_rate = {}", p.donation_rate),
+                );
+            }
+            if aggregate {
+                continue;
+            }
             for s in 0..p.class() {
+                let (rate, vs_rate) = self.cache.rate(idx, s);
                 let checks = [
-                    ("rate", p.rate[s]),
-                    ("vs_rate", p.vs_rate[s]),
-                    ("remaining", p.remaining[s]),
-                    ("donation_rate", p.donation_rate),
+                    ("rate", rate),
+                    ("vs_rate", vs_rate),
+                    (
+                        "remaining",
+                        self.cache.remaining(&self.peers, idx, s, self.t),
+                    ),
                 ];
                 for (what, v) in checks {
                     if !v.is_finite() || v < 0.0 {
@@ -1336,44 +1344,16 @@ impl Simulation {
                 }
             }
         }
-        // Live entries: completions must sit exactly at their file's head.
-        let (mut live_heads, mut live_other) = (0usize, 0usize);
-        for e in self.queue.iter().filter(|e| self.entry_is_live(e)) {
-            if e.rank != RANK_COMPLETION {
-                live_other += 1;
-                continue;
-            }
-            live_heads += 1;
-            let f = self.peers[e.peer as usize].files[e.slot as usize] as usize;
-            let h = self.cache.head(f);
-            if (h.due.to_bits(), h.peer, h.slot) != (e.time.to_bits(), e.peer, e.slot) {
-                return violation(
-                    InvariantKind::QueueInconsistency,
-                    format!(
-                        "file {f}: entry ({}, {}, {}) vs head ({}, {}, {})",
-                        e.time, e.peer, e.slot, h.due, h.peer, h.slot
-                    ),
-                );
-            }
-        }
+        let live_entries = self.queue.iter().filter(|e| self.entry_is_live(e)).count();
         if let Some(agg) = self.agg.as_ref() {
-            // Aggregate mode: completions are armed per group, not per
-            // (peer, slot), and the per-peer rate fields must stay at their
-            // untouched zeros — the group cache owns all service rates.
+            // Aggregate mode: completions are armed per group, and the
+            // per-peer rate cache must stay empty — the group cache owns
+            // all service rates.
             for (idx, p) in self.peers.iter().enumerate() {
                 if p.phase == Phase::Departed {
                     continue;
                 }
-                if p.comp_stamp.iter().any(|&s| s != 0) {
-                    return violation(
-                        InvariantKind::QueueInconsistency,
-                        format!("peer {idx}: per-peer completion armed in aggregate mode"),
-                    );
-                }
-                if p.rate.iter().any(|&r| r != 0.0)
-                    || p.vs_rate.iter().any(|&r| r != 0.0)
-                    || p.donation_rate != 0.0
-                {
+                if self.cache.is_registered(idx) || p.donation_rate != 0.0 {
                     return violation(
                         InvariantKind::RateCacheDrift,
                         format!("peer {idx}: per-peer rates populated in aggregate mode"),
@@ -1383,12 +1363,11 @@ impl Simulation {
             armed += (0..agg.n_groups() as u32)
                 .filter(|&g| agg.group_stamp(g) != 0)
                 .count();
-            if armed != self.live || live_other != self.live || live_heads != 0 {
+            if armed != self.live || live_entries != self.live {
                 return violation(
                     InvariantKind::QueueInconsistency,
                     format!(
-                        "live counter {} vs {armed} armed stamps, {live_other} live \
-                         entries, {live_heads} completion entries",
+                        "live counter {} vs {armed} armed stamps, {live_entries} live entries",
                         self.live
                     ),
                 );
@@ -1402,59 +1381,20 @@ impl Simulation {
                     detail,
                 });
         }
-        if armed != self.live || live_other != self.live {
+        if armed != self.live || live_entries != self.live {
             return violation(
                 InvariantKind::QueueInconsistency,
                 format!(
-                    "live counter {} vs {armed} armed expiries, {live_other} live entries",
+                    "live counter {} vs {armed} armed expiries, {live_entries} live entries",
                     self.live
                 ),
             );
         }
-        if live_heads != self.cache.armed_heads() {
-            return violation(
-                InvariantKind::QueueInconsistency,
-                format!(
-                    "{live_heads} live completion entries for {} armed heads",
-                    self.cache.armed_heads()
-                ),
-            );
+        // Tags, group due times, heads and clocks vs. brute force.
+        if let Err(detail) = self.cache.audit(&self.peers, self.t) {
+            return violation(InvariantKind::QueueInconsistency, detail);
         }
-        // Each head is the earliest armed download of its file, ties
-        // broken by (peer, slot).
-        let k = self.cfg.model.k() as usize;
-        let mut first = vec![(f64::INFINITY, u32::MAX, u32::MAX); k];
-        for (idx, p) in self.peers.iter().enumerate() {
-            if p.phase == Phase::Departed {
-                continue;
-            }
-            for s in 0..p.class() {
-                // Peers and slots ascend, so a strict `<` keeps the
-                // lowest (peer, slot) among equal deadlines.
-                let f = p.files[s] as usize;
-                if p.comp_stamp[s] != 0 && p.comp_time[s] < first[f].0 {
-                    first[f] = (p.comp_time[s], idx as u32, s as u32);
-                }
-            }
-        }
-        for (f, &(due, peer, slot)) in first.iter().enumerate() {
-            let h = self.cache.head(f);
-            let ok = if due < f64::INFINITY {
-                h.stamp != 0 && (h.due.to_bits(), h.peer, h.slot) == (due.to_bits(), peer, slot)
-            } else {
-                h.stamp == 0
-            };
-            if !ok {
-                return violation(
-                    InvariantKind::QueueInconsistency,
-                    format!(
-                        "file {f}: head ({}, {}, {}, stamp {}) vs earliest armed ({due}, {peer}, {slot})",
-                        h.due, h.peer, h.slot, h.stamp
-                    ),
-                );
-            }
-        }
-        // Full recompute vs. the incrementally maintained per-peer rates.
+        // Full recompute vs. the materialized per-download rates.
         let fresh = compute_rates(
             &self.peers,
             self.cfg.scheme,
@@ -1462,16 +1402,26 @@ impl Simulation {
             self.cfg.model.k() as usize,
             self.origin_now,
         );
-        for d in &fresh.downloads {
-            let p = &self.peers[d.peer_idx];
-            if p.rate[d.slot].to_bits() != d.rate.to_bits()
-                || p.vs_rate[d.slot].to_bits() != d.vs_rate.to_bits()
+        let cached = self.cache.snapshot(&self.peers);
+        if cached.downloads.len() != fresh.downloads.len() {
+            return violation(
+                InvariantKind::RateCacheDrift,
+                format!(
+                    "{} cached downloads vs {} fresh",
+                    cached.downloads.len(),
+                    fresh.downloads.len()
+                ),
+            );
+        }
+        for (c, d) in cached.downloads.iter().zip(&fresh.downloads) {
+            if (c.peer_idx, c.slot, c.rate.to_bits(), c.vs_rate.to_bits())
+                != (d.peer_idx, d.slot, d.rate.to_bits(), d.vs_rate.to_bits())
             {
                 return violation(
                     InvariantKind::RateCacheDrift,
                     format!(
                         "peer {} slot {}: cached ({}, {}) vs fresh ({}, {})",
-                        d.peer_idx, d.slot, p.rate[d.slot], p.vs_rate[d.slot], d.rate, d.vs_rate
+                        d.peer_idx, d.slot, c.rate, c.vs_rate, d.rate, d.vs_rate
                     ),
                 );
             }
@@ -1494,12 +1444,13 @@ impl Simulation {
     }
 
     /// Finds the earliest pending event: arrival and epoch are single
-    /// registers; completions (one entry per subtorrent head) and expiries
-    /// come from the heap, discarding stale entries from its top.
+    /// registers; completions come from the rate cache's per-file heads
+    /// and expiries from the heap, discarding stale entries from its top.
     ///
-    /// The heap orders entries by `(time, rank, peer, slot)`, and each
-    /// head is its file's least `(time, peer, slot)`, so the completion
-    /// popped is the one a heap holding every armed download would pop.
+    /// The two are merged under the heap's `(time, rank, peer, slot)`
+    /// order, completions ranking first at equal times, and each head is
+    /// its file's least `(time, peer, slot)`, so the completion chosen is
+    /// the one a heap holding every download's deadline would pop.
     fn next_event(&mut self, end: f64) -> (f64, Event) {
         let mut t_best = end;
         let mut best = Event::End;
@@ -1527,6 +1478,15 @@ impl Simulation {
                 best = Event::Abort;
             }
         }
+        let head = if self.agg.is_none() {
+            self.cache.next_head().filter(|h| h.due < t_best)
+        } else {
+            None
+        };
+        if let Some(h) = head {
+            t_best = h.due;
+            best = Event::Completion(h.peer as usize, h.slot as usize);
+        }
         while let Some(e) = self.queue.peek() {
             if !self.entry_is_live(&e) {
                 self.queue.pop();
@@ -1536,8 +1496,6 @@ impl Simulation {
             if e.rank == RANK_AGG {
                 // A slowdown since the push only recorded the later
                 // hazard deadline; reinsert the entry at its true time.
-                // (Completion heads are re-pushed whenever they move, so
-                // a live completion entry is always on time.)
                 let due = self
                     .agg
                     .as_ref()
@@ -1552,9 +1510,7 @@ impl Simulation {
             if e.time < t_best {
                 self.queue.pop();
                 self.counters.events_popped += 1;
-                if e.rank != RANK_COMPLETION {
-                    self.live -= 1;
-                }
+                self.live -= 1;
                 if e.rank == RANK_AGG {
                     // Aggregate completion: the group's total hazard fired;
                     // only now decide *which* member finished. Canonical draw
@@ -1575,11 +1531,6 @@ impl Simulation {
                     if let Some(p) = self.profiler.as_mut() {
                         p.leave(ProfPhase::MemberSample);
                     }
-                } else if e.rank == RANK_COMPLETION {
-                    // The handler's touch disarms the download itself.
-                    let f = self.peers[e.peer as usize].files[e.slot as usize];
-                    self.cache.consume_head(f as usize);
-                    best = Event::Completion(e.peer as usize, e.slot as usize);
                 } else {
                     self.peers[e.peer as usize].expiry_stamp = 0;
                     best = Event::SeedExpiry(e.peer as usize);
@@ -1588,47 +1539,26 @@ impl Simulation {
             }
             break;
         }
+        if head.is_some() && matches!(best, Event::Completion(..)) {
+            // The handler's touch deregisters the download, which moves
+            // its file's head at the next refresh.
+            self.counters.events_popped += 1;
+        }
         (t_best.max(self.t), best)
     }
 
-    /// Runs the cache refresh (which re-arms the deadline of every
-    /// download whose rate changed), pushes one completion entry per
-    /// subtorrent whose head moved, and compacts the heap when stale
-    /// entries dominate.
+    /// Runs the cache refresh (which moves the completion head of every
+    /// subtorrent whose pool or downloads changed) and compacts the heap
+    /// when stale expiry entries dominate.
     fn refresh_rates(&mut self, force: bool) {
         if self.agg.is_some() {
             return self.refresh_rates_agg(force);
         }
-        let mut moved = std::mem::take(&mut self.moved_buf);
-        self.cache.refresh(
-            &mut self.peers,
-            self.t,
-            force,
-            &mut self.next_stamp,
-            &mut moved,
-        );
+        self.cache.refresh(&mut self.peers, self.t, force);
         let (recomputes, clean) = self.cache.take_stats();
         self.counters.rate_recomputes += recomputes;
         self.counters.rate_clean_hits += clean;
-        self.push_heads(&moved);
-        self.moved_buf = moved;
         self.compact_queue();
-    }
-
-    /// Pushes the completion entry of each armed head among `files`.
-    fn push_heads(&mut self, files: &[usize]) {
-        for &f in files {
-            let head = self.cache.head(f);
-            if head.stamp != 0 {
-                self.queue.push(Entry {
-                    time: head.due,
-                    rank: RANK_COMPLETION,
-                    peer: head.peer,
-                    slot: head.slot,
-                    stamp: head.stamp,
-                });
-            }
-        }
     }
 
     /// Aggregate-mode counterpart of [`Self::refresh_rates`]: refreshes the
@@ -1679,7 +1609,7 @@ impl Simulation {
 
     /// Drops stale entries when they dominate the heap.
     fn compact_queue(&mut self) {
-        let live = self.live + self.cache.armed_heads();
+        let live = self.live;
         if self.queue.len() > 256 && self.queue.len() > 4 * live {
             for e in self.queue.drain() {
                 if self.entry_is_live(&e) {
@@ -1690,41 +1620,39 @@ impl Simulation {
     }
 
     /// Whether a heap entry still refers to a pending deadline. Stamps are
-    /// unique (expiry and group stamps share one sequence, completion
-    /// heads have their own) and zeroed on invalidation, so a stale entry
-    /// can never match. A completion entry is checked against the head of
-    /// its download's file; its slot index may exceed the class of a peer
-    /// that has since recycled the slab position, hence the bounds guard.
+    /// unique (expiry and group stamps share one sequence) and zeroed on
+    /// invalidation, so a stale entry can never match.
     fn entry_is_live(&self, e: &Entry) -> bool {
         match e.rank {
             RANK_AGG => self
                 .agg
                 .as_ref()
                 .is_some_and(|a| a.group_stamp(e.peer) == e.stamp),
-            RANK_COMPLETION => self.peers[e.peer as usize]
-                .files
-                .get(e.slot as usize)
-                .is_some_and(|&f| self.cache.head(f as usize).stamp == e.stamp),
             _ => self.peers[e.peer as usize].expiry_stamp == e.stamp,
         }
     }
 
     /// Routes a peer registration to the active rate structure.
     fn cache_register(&mut self, idx: usize) {
+        self.prof_enter(ProfPhase::RateMaint);
         if let Some(agg) = self.agg.as_mut() {
             agg.register(idx, &self.peers);
         } else {
-            self.cache.register(idx, &self.peers);
+            self.cache.register(idx, &mut self.peers, self.t);
         }
+        self.prof_leave(ProfPhase::RateMaint);
     }
 
-    /// Routes a peer deregistration to the active rate structure.
+    /// Routes a peer deregistration to the active rate structure (which
+    /// folds the peer's download progress up to now into it).
     fn cache_deregister(&mut self, idx: usize) {
+        self.prof_enter(ProfPhase::RateMaint);
         if let Some(agg) = self.agg.as_mut() {
             agg.deregister(idx, &self.peers);
         } else {
-            self.cache.deregister(idx, &self.peers);
+            self.cache.deregister(idx, &mut self.peers, self.t);
         }
+        self.prof_leave(ProfPhase::RateMaint);
     }
 
     /// Grows the active rate structure's per-peer bookkeeping.
@@ -1736,22 +1664,16 @@ impl Simulation {
         }
     }
 
-    /// Begins a touch: settles the peer's accruals at `t`, zeroes its
-    /// cached rates, disarms its deadlines (its expiry entry goes stale
-    /// now; the heads of its files move at the next refresh), removes its
-    /// counter contributions and cache memberships. Returns whether the
-    /// peer was downloading (for the active-time transition in
-    /// [`Self::touch_end`]).
+    /// Begins a touch: settles the peer's donation at `t`, disarms its
+    /// expiry (its entry goes stale now), removes its counter
+    /// contributions and cache memberships (which folds its download
+    /// progress into it; the heads of its files move at the next
+    /// refresh). Returns whether the peer was downloading (for the
+    /// active-time transition in [`Self::touch_end`]).
     fn touch_begin(&mut self, idx: usize) -> bool {
         self.sub_counters(idx);
         let t = self.t;
         let peer = &mut self.peers[idx];
-        for s in 0..peer.class() {
-            peer.settle_slot(s, t);
-            peer.rate[s] = 0.0;
-            peer.vs_rate[s] = 0.0;
-            peer.comp_stamp[s] = 0;
-        }
         peer.settle_donation(t);
         peer.donation_rate = 0.0;
         if peer.expiry_stamp != 0 {

@@ -31,7 +31,10 @@ pub struct Peer {
     pub arrival: f64,
     /// Requested files (non-empty, sorted).
     pub files: Vec<FileId>,
-    /// Remaining work per file slot, `1.0 → 0.0`.
+    /// Remaining work per file slot, `1.0 → 0.0`. While the slot is a
+    /// download registered with the engine's rate cache this is the value
+    /// at registration (the current one follows from [`Peer::tag`]); it is
+    /// brought up to date whenever the peer is touched.
     pub remaining: Vec<f64>,
     /// Completion time per slot.
     pub completed_at: Vec<Option<f64>>,
@@ -59,18 +62,22 @@ pub struct Peer {
     /// the current epoch.
     pub donated: f64,
     /// Adapt accounting: bandwidth·time received from others' virtual
-    /// seeds in the current epoch.
+    /// seeds in the current epoch. While a download is registered with
+    /// the rate cache its share accrues on its file's virtual-seed clock
+    /// and is folded in here when the download is deregistered.
     pub received_vs: f64,
     /// Accumulated wall-clock time with at least one active download.
     pub download_time_acc: f64,
-    /// Cached service rate per slot, maintained by the engine's rate cache
-    /// (zero for inactive slots).
-    pub rate: Vec<f64>,
-    /// Virtual-seed portion of [`Peer::rate`] per slot.
-    pub vs_rate: Vec<f64>,
-    /// Last time each slot's progress was folded into
-    /// [`Peer::remaining`]/[`Peer::received_vs`] (lazy settlement).
-    pub settled_at: Vec<f64>,
+    /// Finish tag per slot while its download is registered with the rate
+    /// cache: the value of its group's virtual clock at which the download
+    /// completes (`V(t₀) + remaining/w` at registration time `t₀`). While
+    /// registered, [`Peer::remaining`] holds the value at registration and
+    /// the current remaining work is `w·(tag − V(t))`.
+    pub tag: Vec<f64>,
+    /// Virtual-seed clock mark per slot: the file's `Φ` at registration,
+    /// from which the slot's received virtual-seed bandwidth is folded
+    /// into [`Peer::received_vs`] at deregistration.
+    pub vs_mark: Vec<f64>,
     /// Bandwidth currently donated through this peer's virtual seed and
     /// consumed by someone (zero outside CMFSD).
     pub donation_rate: f64,
@@ -79,15 +86,6 @@ pub struct Peer {
     /// When the current [`Phase::Downloading`] stretch began (feeds
     /// [`Peer::download_time_acc`] on the next phase transition).
     pub active_since: f64,
-    /// Stamp of the slot's armed completion deadline (0 = none armed),
-    /// drawn from the engine's stamp sequence when the deadline is first
-    /// armed or moves earlier. The event heap holds one entry per
-    /// subtorrent (the rate cache's head), not one per slot.
-    pub comp_stamp: Vec<u64>,
-    /// The slot's completion deadline, meaningful while
-    /// [`Peer::comp_stamp`] is non-zero. A rate *decrease* moves it later
-    /// under the same stamp.
-    pub comp_time: Vec<f64>,
     /// Event-queue stamp of the pending seed-expiry/departure entry
     /// (0 = none).
     pub expiry_stamp: u64,
@@ -117,43 +115,13 @@ impl Peer {
             donated: 0.0,
             received_vs: 0.0,
             download_time_acc: 0.0,
-            rate: vec![0.0; n],
-            vs_rate: vec![0.0; n],
-            settled_at: vec![arrival; n],
+            tag: vec![0.0; n],
+            vs_mark: vec![0.0; n],
             donation_rate: 0.0,
             donation_since: arrival,
             active_since: arrival,
-            comp_stamp: vec![0; n],
-            comp_time: vec![f64::INFINITY; n],
             expiry_stamp: 0,
         }
-    }
-
-    /// Folds the interval since the slot's last settlement into
-    /// [`Peer::remaining`] and [`Peer::received_vs`] at the cached rates,
-    /// then re-anchors the slot at `t`.
-    ///
-    /// Safe to call on inactive slots (their cached rate is zero).
-    ///
-    /// An actively downloading slot never settles all the way to zero:
-    /// only its completion *event* may finish it. A settle can land on the
-    /// deadline to within a ulp (e.g. an arrival tying with the
-    /// completion), and clamping to zero there would mark the slot
-    /// finished without ever dispatching the completion — no seed phase,
-    /// no holder count, no record. Pinning to the smallest positive value
-    /// keeps the slot alive for the completion event that is due now.
-    pub fn settle_slot(&mut self, slot: usize, t: f64) {
-        let dt = t - self.settled_at[slot];
-        if dt > 0.0 {
-            let left = self.remaining[slot] - self.rate[slot] * dt;
-            self.remaining[slot] = if left > 0.0 || !(self.rate[slot] > 0.0) {
-                left.max(0.0)
-            } else {
-                f64::MIN_POSITIVE
-            };
-            self.received_vs += self.vs_rate[slot] * dt;
-        }
-        self.settled_at[slot] = t;
     }
 
     /// Folds the interval since the last donation settlement into

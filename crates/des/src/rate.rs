@@ -9,15 +9,32 @@
 //! * `weight[f]` — total download-capacity weight of the downloaders in
 //!   `f` (`1/class` under concurrent schemes, `1` under sequential ones).
 //!
-//! A downloader of `f` with own TFT upload `u` and weight `w` then receives
+//! A downloader of `f` with weight `w` and TFT upload `u = w·c` then
+//! receives
 //!
 //! ```text
-//! rate = η·u + (w / weight[f]) · (pool_real[f] + pool_virtual[f])
+//! rate = w · (η·c + ψ[f]),   ψ[f] = (pool_real[f] + pool_virtual[f]) / weight[f]
 //! ```
 //!
-//! which conserves bandwidth exactly: summing over downloaders of `f`
-//! reproduces `η·Σu + pool_real[f] + pool_virtual[f]`, the fluid model's
-//! per-torrent service capacity.
+//! which conserves bandwidth: summing over downloaders of `f` reproduces
+//! `η·Σu + pool_real[f] + pool_virtual[f]`, the fluid model's
+//! per-torrent service capacity. The scheme fixes `c` directly rather
+//! than through `u/w`: `μ` for MTSD, MTCD, MFCD and a CMFSD peer's first
+//! file, `ρμ` for CMFSD's later files. Downloads with the same `(f, c)`
+//! therefore progress at rates proportional to their weights, which is
+//! what lets [`crate::rate_cache::RateCache`] track them with one virtual
+//! clock per group.
+//!
+//! ## Canonical aggregates
+//!
+//! Every aggregate is a function of integer counts and an ordered source
+//! list, so the incremental cache and this from-scratch reference
+//! produce the same bits: `weight[f]` sums `count · (1/d)` over weight
+//! divisors `d` ascending; pinned seeds (MTSD, MTCD, MFCD: bandwidth
+//! `μ/d` serving one file) enter `pool_real[f]` the same way; the
+//! demand-aware sources of CMFSD give each of their files
+//! `weight[f] · bandwidth/demand`, their bandwidth per unit demand summed
+//! in `(peer, source)` order.
 //!
 //! ## Demand-aware CMFSD seeding
 //!
@@ -66,101 +83,235 @@ pub struct RateSnapshot {
     pub donations: Vec<f64>,
 }
 
-/// A seed capacity source: `bandwidth` spread over `files` (demand-aware
-/// when `files` has several entries).
-struct SeedSource {
-    files: Vec<usize>,
-    bandwidth: f64,
-    is_virtual: bool,
+/// One download a peer holds under the scheme.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Download {
+    pub slot: u32,
+    pub file: u32,
+    /// TFT upload per unit weight.
+    pub c: f64,
+    /// Weight divisor: the download's weight is `1/d`.
+    pub d: u32,
 }
 
-/// What a peer contributes and consumes under the configured scheme.
-struct PeerView {
-    /// Active downloads: `(slot, tft_upload, weight)`.
-    active: Vec<(usize, f64, f64)>,
-    /// Seed capacity sources.
-    seeds: Vec<SeedSource>,
+/// A seed source split demand-aware over `View::files[start..end]`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Shared {
+    pub bandwidth: f64,
+    pub is_virtual: bool,
+    pub start: usize,
+    pub end: usize,
 }
 
-fn view(peer: &Peer, scheme: SchemeKind, params: &FluidParams) -> PeerView {
-    let mu = params.mu();
-    let class = peer.class() as f64;
-    let mut v = PeerView {
-        active: Vec::new(),
-        seeds: Vec::new(),
-    };
-    match scheme {
-        SchemeKind::Mtsd => match peer.phase {
-            Phase::Downloading => {
-                let slot = peer.current_slot();
-                v.active.push((slot, mu, 1.0));
-            }
-            Phase::SeedingFile(slot) => {
-                v.seeds.push(SeedSource {
-                    files: vec![peer.files[slot] as usize],
-                    bandwidth: mu,
-                    is_virtual: false,
-                });
-            }
-            Phase::SeedingAll | Phase::Departed => {}
-        },
-        SchemeKind::Mtcd | SchemeKind::Mfcd => {
-            if peer.phase == Phase::Departed {
-                return v;
-            }
-            let share = mu / class;
-            for slot in 0..peer.class() {
-                if !peer.finished(slot) {
-                    v.active.push((slot, share, 1.0 / class));
-                } else if peer.seed_until[slot].is_some() {
-                    // Finished slot: this virtual peer seeds its own
-                    // torrent (MTCD: until its deadline; MFCD: until the
-                    // user departs).
-                    v.seeds.push(SeedSource {
-                        files: vec![peer.files[slot] as usize],
-                        bandwidth: share,
-                        is_virtual: false,
-                    });
+/// What a peer contributes and consumes under the configured scheme, in
+/// the order every aggregate is accumulated in. Reused buffers: `fill`
+/// clears them first.
+#[derive(Debug, Default)]
+pub(crate) struct View {
+    pub downloads: Vec<Download>,
+    /// Pinned seeds `(file, d)`: bandwidth `μ/d` serving `file` alone.
+    pub pinned: Vec<(u32, u32)>,
+    pub shared: Vec<Shared>,
+    /// File lists of the shared sources.
+    pub files: Vec<usize>,
+}
+
+impl View {
+    pub(crate) fn fill(&mut self, peer: &Peer, scheme: SchemeKind, mu: f64) {
+        self.downloads.clear();
+        self.pinned.clear();
+        self.shared.clear();
+        self.files.clear();
+        let class = peer.class();
+        let file = |slot: usize| peer.files[slot] as u32;
+        match scheme {
+            SchemeKind::Mtsd => match peer.phase {
+                Phase::Downloading => {
+                    let slot = peer.current_slot();
+                    self.download(slot, file(slot), mu, 1);
                 }
+                Phase::SeedingFile(slot) => self.pinned.push((file(slot), 1)),
+                Phase::SeedingAll | Phase::Departed => {}
+            },
+            SchemeKind::Mtcd | SchemeKind::Mfcd => {
+                if peer.phase == Phase::Departed {
+                    return;
+                }
+                for slot in 0..class {
+                    if !peer.finished(slot) {
+                        self.download(slot, file(slot), mu, class as u32);
+                    } else if peer.seed_until[slot].is_some() {
+                        // Finished slot: this virtual peer seeds its own
+                        // torrent (MTCD: until its deadline; MFCD: until
+                        // the user departs).
+                        self.pinned.push((file(slot), class as u32));
+                    }
+                }
+            }
+            SchemeKind::Cmfsd { .. } => match peer.phase {
+                Phase::Downloading => {
+                    let slot = peer.current_slot();
+                    if peer.done_count() >= 1 {
+                        // Partial seed: ρμ plays TFT in the current
+                        // subtorrent, (1−ρ)μ serves the finished files
+                        // demand-aware.
+                        let rho = peer.rho;
+                        self.download(slot, file(slot), rho * mu, 1);
+                        let donated = (1.0 - rho) * mu;
+                        if donated > 0.0 {
+                            let start = self.files.len();
+                            self.files.extend(
+                                (0..class)
+                                    .filter(|&s| peer.finished(s))
+                                    .map(|s| peer.files[s] as usize),
+                            );
+                            self.share(donated, true, start);
+                        }
+                    } else {
+                        self.download(slot, file(slot), mu, 1);
+                    }
+                }
+                Phase::SeedingAll => {
+                    // Real seed: μ over all its files, demand-aware.
+                    let start = self.files.len();
+                    self.files.extend(peer.files.iter().map(|&f| f as usize));
+                    self.share(mu, false, start);
+                }
+                Phase::SeedingFile(_) | Phase::Departed => {}
+            },
+        }
+    }
+
+    fn download(&mut self, slot: usize, file: u32, c: f64, d: u32) {
+        self.downloads.push(Download {
+            slot: slot as u32,
+            file,
+            c,
+            d,
+        });
+    }
+
+    fn share(&mut self, bandwidth: f64, is_virtual: bool, start: usize) {
+        self.shared.push(Shared {
+            bandwidth,
+            is_virtual,
+            start,
+            end: self.files.len(),
+        });
+    }
+}
+
+/// A download's weight `1/d`.
+pub(crate) fn weight_of(d: u32) -> f64 {
+    1.0 / d as f64
+}
+
+/// A file's memberships counted by divisor: `(d, n)` pairs with `n > 0`,
+/// `d` ascending. Its length is the number of distinct classes present,
+/// not K.
+pub(crate) type Counts = Vec<(u32, u32)>;
+
+/// Counts one more membership with divisor `d`.
+pub(crate) fn count_add(row: &mut Counts, d: u32) {
+    match row.binary_search_by_key(&d, |&(e, _)| e) {
+        Ok(i) => row[i].1 += 1,
+        Err(i) => row.insert(i, (d, 1)),
+    }
+}
+
+/// Counts one membership with divisor `d` less.
+pub(crate) fn count_sub(row: &mut Counts, d: u32) {
+    let i = row
+        .binary_search_by_key(&d, |&(e, _)| e)
+        .expect("removing an uncounted membership");
+    row[i].1 -= 1;
+    if row[i].1 == 0 {
+        row.remove(i);
+    }
+}
+
+/// `Σ n · (1/d)` over a file's weight-divisor counts, divisors ascending.
+pub(crate) fn weight_sum(row: &[(u32, u32)]) -> f64 {
+    let mut s = 0.0;
+    for &(d, n) in row {
+        s += n as f64 * weight_of(d);
+    }
+    s
+}
+
+/// The origin publishers' share of one subtorrent's real pool: pinned
+/// per torrent (MTSD/MTCD) or split demand-aware over the subtorrents by
+/// weight (MFCD/CMFSD, `total_weight` the sum over every subtorrent).
+pub(crate) fn origin_share(origin_bw: f64, demand_aware: bool, wf: f64, total_weight: f64) -> f64 {
+    if origin_bw > 0.0 {
+        if !demand_aware {
+            return origin_bw;
+        }
+        if total_weight > 0.0 && wf > 0.0 {
+            return origin_bw * wf / total_weight;
+        }
+    }
+    0.0
+}
+
+/// A demand-aware source's bandwidth per unit of the weight it serves:
+/// each of its files with weight `w_f` receives `w_f · bandwidth/demand`
+/// (nothing when no file has demand).
+pub(crate) fn intensity(bandwidth: f64, demand: f64) -> f64 {
+    if demand > 0.0 {
+        bandwidth / demand
+    } else {
+        0.0
+    }
+}
+
+/// `(pool_real, pool_virtual)` of a subtorrent with weight `wf`: the
+/// origin share, then the pinned seeds (`n` seeds of bandwidth `μ/d` per
+/// `(d, n)`, divisors ascending), then `wf` times the summed
+/// [`intensity`] of the demand-aware sources `(is_virtual, intensity)`,
+/// accumulated in `(peer, source)` order. Seed capacity only flows where
+/// there is demand.
+pub(crate) fn file_pools(
+    origin: f64,
+    wf: f64,
+    pinned: &[(u32, u32)],
+    mu: f64,
+    shared: impl Iterator<Item = (bool, f64)>,
+) -> (f64, f64) {
+    let mut pr = origin;
+    let mut pv = 0.0;
+    if wf > 0.0 {
+        for &(d, n) in pinned {
+            pr += n as f64 * (mu / d as f64);
+        }
+        let (mut qr, mut qv) = (0.0, 0.0);
+        for (is_virtual, q) in shared {
+            if is_virtual {
+                qv += q;
+            } else {
+                qr += q;
             }
         }
-        SchemeKind::Cmfsd { .. } => match peer.phase {
-            Phase::Downloading => {
-                let slot = peer.current_slot();
-                if peer.done_count() >= 1 {
-                    // Partial seed: ρμ plays TFT in the current subtorrent,
-                    // (1−ρ)μ serves the finished files demand-aware.
-                    let rho = peer.rho;
-                    v.active.push((slot, rho * mu, 1.0));
-                    let donated = (1.0 - rho) * mu;
-                    if donated > 0.0 {
-                        let files = peer
-                            .finished_slots()
-                            .into_iter()
-                            .map(|s| peer.files[s] as usize)
-                            .collect();
-                        v.seeds.push(SeedSource {
-                            files,
-                            bandwidth: donated,
-                            is_virtual: true,
-                        });
-                    }
-                } else {
-                    v.active.push((slot, mu, 1.0));
-                }
-            }
-            Phase::SeedingAll => {
-                // Real seed: μ over all its files, demand-aware.
-                v.seeds.push(SeedSource {
-                    files: peer.files.iter().map(|&f| f as usize).collect(),
-                    bandwidth: mu,
-                    is_virtual: false,
-                });
-            }
-            Phase::SeedingFile(_) | Phase::Departed => {}
-        },
+        pr += wf * qr;
+        pv += wf * qv;
     }
-    v
+    (pr, pv)
+}
+
+/// `(ψ, φ)` of a subtorrent: pool bandwidth and virtual-seed bandwidth
+/// per unit of downloader weight (zero without downloaders).
+pub(crate) fn per_weight(wf: f64, pr: f64, pv: f64) -> (f64, f64) {
+    if wf > 0.0 {
+        ((pr + pv) / wf, pv / wf)
+    } else {
+        (0.0, 0.0)
+    }
+}
+
+/// `(rate, vs_rate)` of a download with weight `w` and `ec = η·c` in a
+/// subtorrent with per-weight pools `(ψ, φ)`.
+pub(crate) fn download_rate(w: f64, ec: f64, psi: f64, phi: f64) -> (f64, f64) {
+    (w * (ec + psi), w * phi)
 }
 
 /// Builds the rate snapshot for the current population.
@@ -178,82 +329,76 @@ pub fn compute_rates(
     origin_seeds: usize,
 ) -> RateSnapshot {
     let eta = params.eta();
-    let mut weight = vec![0.0; k];
-    let mut pool_real = vec![0.0; k];
-    let mut pool_virtual = vec![0.0; k];
+    let mu = params.mu();
+    let mut wcount: Vec<Counts> = vec![Vec::new(); k];
+    let mut pcount: Vec<Counts> = vec![Vec::new(); k];
 
-    // Pass 1: build views and downloader weights.
+    // Pass 1: views and the integer counts behind weights and pinned pools.
     let mut views = Vec::with_capacity(peers.len());
     for peer in peers {
-        let v = view(peer, scheme, params);
-        for &(slot, _u, w) in &v.active {
-            weight[peer.files[slot] as usize] += w;
+        let mut v = View::default();
+        v.fill(peer, scheme, mu);
+        for d in &v.downloads {
+            count_add(&mut wcount[d.file as usize], d.d);
+        }
+        for &(f, d) in &v.pinned {
+            count_add(&mut pcount[f as usize], d);
         }
         views.push(v);
     }
+    let weight: Vec<f64> = wcount.iter().map(|row| weight_sum(row)).collect();
 
-    // Pass 2: seed capacity flows where there is demand.
+    // Pass 2: demand-aware sources per file, in (peer, source) order, and
+    // the donations they carry.
     let mut snapshot = RateSnapshot {
         downloads: Vec::new(),
         donations: vec![0.0; peers.len()],
     };
-    if origin_seeds > 0 {
-        let bw = origin_seeds as f64 * params.mu();
-        match scheme {
-            SchemeKind::Mtsd | SchemeKind::Mtcd => {
-                // One publisher per torrent, pinned.
-                for pool in pool_real.iter_mut() {
-                    *pool += bw;
-                }
-            }
-            SchemeKind::Mfcd | SchemeKind::Cmfsd { .. } => {
-                // One multi-file publisher, demand-aware over subtorrents.
-                let demand: f64 = weight.iter().sum();
-                if demand > 0.0 {
-                    for f in 0..k {
-                        if weight[f] > 0.0 {
-                            pool_real[f] += bw * weight[f] / demand;
-                        }
-                    }
-                }
-            }
-        }
-    }
+    let mut shared: Vec<Vec<(bool, f64)>> = vec![Vec::new(); k];
     for (peer_idx, v) in views.iter().enumerate() {
-        for src in &v.seeds {
-            let demand: f64 = src.files.iter().map(|&f| weight[f]).sum();
-            if demand <= 0.0 {
-                // Nobody to serve: the capacity idles.
-                continue;
+        for src in &v.shared {
+            let files = &v.files[src.start..src.end];
+            let demand: f64 = files.iter().map(|&f| weight[f]).sum();
+            for &f in files {
+                shared[f].push((src.is_virtual, intensity(src.bandwidth, demand)));
             }
-            for &f in &src.files {
-                if weight[f] > 0.0 {
-                    let share = src.bandwidth * weight[f] / demand;
-                    if src.is_virtual {
-                        pool_virtual[f] += share;
-                    } else {
-                        pool_real[f] += share;
-                    }
-                }
-            }
-            if src.is_virtual {
+            if src.is_virtual && demand > 0.0 {
                 snapshot.donations[peer_idx] += src.bandwidth;
             }
         }
     }
 
-    // Pass 3: per-download rates.
-    for (peer_idx, (peer, v)) in peers.iter().zip(&views).enumerate() {
-        for &(slot, u, w) in &v.active {
-            let f = peer.files[slot] as usize;
-            let share = if weight[f] > 0.0 { w / weight[f] } else { 0.0 };
-            let from_real = share * pool_real[f];
-            let from_virtual = share * pool_virtual[f];
+    // Pass 3: pools and per-weight shares.
+    let origin_bw = if origin_seeds > 0 {
+        origin_seeds as f64 * mu
+    } else {
+        0.0
+    };
+    let demand_aware = matches!(scheme, SchemeKind::Mfcd | SchemeKind::Cmfsd { .. });
+    let total_weight: f64 = if demand_aware && origin_bw > 0.0 {
+        weight.iter().sum()
+    } else {
+        0.0
+    };
+    let shares: Vec<(f64, f64)> = (0..k)
+        .map(|f| {
+            let wf = weight[f];
+            let origin = origin_share(origin_bw, demand_aware, wf, total_weight);
+            let (pr, pv) = file_pools(origin, wf, &pcount[f], mu, shared[f].iter().copied());
+            per_weight(wf, pr, pv)
+        })
+        .collect();
+
+    // Pass 4: per-download rates.
+    for (peer_idx, v) in views.iter().enumerate() {
+        for d in &v.downloads {
+            let (psi, phi) = shares[d.file as usize];
+            let (rate, vs_rate) = download_rate(weight_of(d.d), eta * d.c, psi, phi);
             snapshot.downloads.push(ActiveDownload {
                 peer_idx,
-                slot,
-                rate: eta * u + from_real + from_virtual,
-                vs_rate: from_virtual,
+                slot: d.slot as usize,
+                rate,
+                vs_rate,
             });
         }
     }

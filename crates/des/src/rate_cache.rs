@@ -1,5 +1,5 @@
-//! Incremental rate maintenance: per-subtorrent aggregates kept up to date
-//! event-by-event instead of rebuilt from scratch.
+//! Incremental rate maintenance: per-subtorrent aggregates and virtual
+//! clocks kept up to date event by event instead of rebuilt from scratch.
 //!
 //! [`crate::rate::compute_rates`] rebuilds `weight`, `pool_real`,
 //! `pool_virtual` and every download rate from the whole population on
@@ -7,86 +7,209 @@
 //! aggregates incrementally: when a peer's membership changes (arrival,
 //! completion, expiry, ρ update) the engine deregisters and re-registers
 //! that one peer, which marks the affected subtorrents dirty; the
-//! subsequent [`RateCache::refresh`] recomputes only dirty aggregates and
-//! the downloads they feed.
+//! subsequent [`RateCache::refresh`] recomputes only dirty aggregates.
+//!
+//! ## Virtual clocks
+//!
+//! A download of subtorrent `f` with weight `w` and TFT upload `w·c`
+//! progresses at `w·(η·c + ψ_f)`, where `ψ_f` is the file's pool per unit
+//! weight (see [`crate::rate`]). This is generalized processor sharing,
+//! and the cache tracks it with virtual time rather than per-download
+//! settlement:
+//!
+//! * Each file keeps `Ψ_f = ∫ψ_f dt` and `Φ_f = ∫φ_f dt` (`φ_f` the
+//!   virtual-seed pool per unit weight) as a `Clock`: their values at
+//!   the anchor time plus the current `ψ_f`, `φ_f`. The clock is
+//!   re-anchored exactly when `(ψ_f, φ_f)` changes in its bits.
+//! * Downloads with the same `(f, c)` form a group with the clock
+//!   `V(t) = η·c·t + Ψ_f(t)`. A download registered at `t₀` with remaining
+//!   work `r` gets the finish tag `F = V(t₀) + r/w` (stored on the peer);
+//!   its remaining work at `t` is `w·(F − V(t))` and it completes when
+//!   `V` reaches `F`. Pool changes move `V`'s slope, never a tag.
+//! * Each group keeps its members ordered by `(F, peer, slot)`. A due
+//!   time is nondecreasing in the tag, so the group's earliest completion
+//!   is found at the front: the least `(due, peer, slot)` over the members
+//!   due when the least tag is (distinct tags can round to one due time).
+//!   The file's head is the least of its groups' and the heads of all
+//!   files sit in an `IndexedHeap`, so completions pop in the order a heap
+//!   of every download's deadline would give.
+//!
+//! A pool change therefore costs one re-anchor and one due time per group
+//! of the file, whatever the number of downloaders. Remaining work, rates
+//! and received virtual-seed bandwidth are materialized from the tags
+//! only when read: at deregistration (every touch), in audits, snapshots
+//! and at the end of a run.
 //!
 //! ## Bit-exactness contract
 //!
-//! Every aggregate is recomputed by re-summing an ordered member list that
-//! reproduces `compute_rates`' accumulation order (peers ascending by slab
-//! index, slots in view order within a peer, the origin publisher first in
-//! every pool). A recompute of an *unchanged* aggregate therefore yields
-//! the identical bit pattern, which is what makes the engine's
-//! `exact_rates` mode (forced full recompute every event) and the default
-//! incremental mode produce bit-identical trajectories: the only
-//! difference between the modes is how much provably-unchanged work is
-//! redone.
-//!
-//! Change detection is by `f64::to_bits` comparison, and a changed rate
-//! triggers lazy settlement of the affected download
-//! ([`crate::peer::Peer::settle_slot`]) before the new rate is stored, so
-//! progress accrual is exact piecewise-linear integration in both modes.
+//! Every aggregate is a function of integer counts and ordered source
+//! lists (see [`crate::rate`]), so a recompute of an *unchanged*
+//! aggregate yields the identical bit pattern. The engine's
+//! `exact_rates` mode (forced full recompute every event) feeds the same
+//! clocks as the default incremental mode: a clock only moves when its
+//! `(ψ, φ)` bits change, and due times are pure functions of the clock
+//! anchor, the group's `η·c` and its least tag, never of the time they
+//! were computed at. The two modes produce bit-identical trajectories.
 //!
 //! ## Dirty propagation
 //!
-//! * A membership change on subtorrent `f` marks `weight[f]` dirty.
+//! * A membership change on subtorrent `f` marks `weight[f]` and the
+//!   download's group dirty.
 //! * A bit-changed `weight[f]` invalidates: `f`'s own pools, the pools of
-//!   every file served by any source that also serves `f` (their
-//!   demand-aware split changed), and — when a demand-aware origin
-//!   publisher exists (MFCD/CMFSD) — every pool (the global demand
-//!   changed).
-//! * Download rates are recomputed for every member of a subtorrent whose
-//!   weight or pools bit-changed, plus every active slot of a peer touched
-//!   this round (its TFT upload `u` can change with no weight change,
-//!   e.g. a CMFSD peer finishing its first file at unchanged weight 1).
+//!   every file served by any demand-aware source that also serves `f`
+//!   (their split changed), and — when a demand-aware origin publisher
+//!   exists (MFCD/CMFSD) — every pool (the global demand changed).
+//! * A bit-changed `(ψ_f, φ_f)` re-anchors `f`'s clock and marks all of
+//!   its groups dirty; a dirty group recomputes its due time and its
+//!   file's head.
 //! * Donation rates are recomputed for touched peers and for owners of
-//!   sources serving a pool-dirty file.
+//!   virtual sources whose demand started or stopped.
 //!
-//! Each seed source's demand `Σ weight` over the files it serves is
-//! summed once per refresh into the source table and shared by every
-//! pool it feeds and by its owner's donation rate.
-//!
-//! ## Completion heads
-//!
-//! A changed rate re-arms its download's completion deadline on the peer
-//! (`comp_stamp`/`comp_time`) and on its member entry. The cache keeps,
-//! per subtorrent, the earliest armed deadline — its [`Head`], ties broken
-//! by `(peer, slot)` — and [`RateCache::refresh`] reports the files whose
-//! head moved, so the engine's event heap holds one completion entry per
-//! subtorrent instead of one per download. The pass that recomputes a
-//! file's rates visits every member anyway and takes the minimum as it
-//! goes. A file reached only through touched peers takes an earlier
-//! deadline as its head directly and rescans its members only when its
-//! head's download was deregistered (it may have moved later or left) or
-//! its entry was popped.
+//! Each demand-aware source's demand `Σ weight` over the files it serves
+//! and its bandwidth per unit demand are computed once per refresh into
+//! the source table and shared by every pool it feeds and by its owner's
+//! donation rate.
 
 use crate::config::SchemeKind;
-use crate::peer::{Peer, Phase};
-use crate::rate::{ActiveDownload, RateSnapshot};
+pub use crate::event_queue::Head;
+use crate::event_queue::{by_key_peer_slot, IndexedHeap};
+use crate::peer::Peer;
+use crate::rate::{
+    count_add, count_sub, download_rate, file_pools, intensity, origin_share, per_weight,
+    weight_of, weight_sum, ActiveDownload, Counts, RateSnapshot, View,
+};
 use btfluid_core::FluidParams;
+use std::cmp::Ordering;
+use std::collections::BTreeSet;
 
-/// One downloader membership in a subtorrent's member list.
-#[derive(Debug, Clone, Copy)]
-struct Member {
-    peer: u32,
-    slot: u32,
-    /// TFT upload bandwidth `u` of this download.
-    u: f64,
-    /// Downloader weight `w` of this download.
-    w: f64,
-    /// The download's armed completion deadline (`Peer::comp_time`), +∞
-    /// while none is armed.
-    due: f64,
+/// A subtorrent's pool integrals: `Ψ` and `Φ` at the anchor time, and the
+/// rates they grow at since.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub(crate) struct Clock {
+    /// Time of the last re-anchoring.
+    pub(crate) anchor: f64,
+    /// `Ψ = ∫ψ` at the anchor.
+    pub(crate) psi_acc: f64,
+    /// `Φ = ∫φ` at the anchor.
+    pub(crate) phi_acc: f64,
+    /// Current pool bandwidth per unit downloader weight.
+    pub(crate) psi: f64,
+    /// Current virtual-seed bandwidth per unit downloader weight.
+    pub(crate) phi: f64,
 }
 
-/// Reference to one seed source in a subtorrent's source list: the
-/// owner's `ord`-th source, stored at `srcs[id]`. Lists sort by
+impl Clock {
+    fn psi_at(&self, t: f64) -> f64 {
+        self.psi_acc + self.psi * (t - self.anchor)
+    }
+
+    fn phi_at(&self, t: f64) -> f64 {
+        self.phi_acc + self.phi * (t - self.anchor)
+    }
+
+    /// Group clock `V(t) = η·c·t + Ψ(t)`.
+    fn v_at(&self, ec: f64, t: f64) -> f64 {
+        ec * t + self.psi_at(t)
+    }
+
+    /// When a group with `ec = η·c` reaches `tag` (+∞ when its clock
+    /// stands still). A function of the anchor, not of the current time.
+    fn due(&self, ec: f64, tag: f64) -> f64 {
+        let slope = ec + self.psi;
+        if !(slope > 0.0) {
+            return f64::INFINITY;
+        }
+        self.anchor + (tag - self.v_at(ec, self.anchor)) / slope
+    }
+}
+
+/// A member of a group, ordered by finish tag, ties by `(peer, slot)`.
+#[derive(Debug, Clone, Copy)]
+struct Tag {
+    tag: f64,
+    peer: u32,
+    slot: u32,
+}
+
+impl PartialEq for Tag {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Tag {}
+
+impl PartialOrd for Tag {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Tag {
+    fn cmp(&self, other: &Self) -> Ordering {
+        by_key_peer_slot(
+            (self.tag, self.peer, self.slot),
+            (other.tag, other.peer, other.slot),
+        )
+    }
+}
+
+/// The downloads of one subtorrent that share `c`, hence one clock.
+#[derive(Debug, Clone)]
+struct Group {
+    file: u32,
+    c: f64,
+    /// `η·c`.
+    ec: f64,
+    members: BTreeSet<Tag>,
+    /// The member that completes first ([`Head::NONE`] when none can).
+    head: Head,
+    dirty: bool,
+}
+
+impl Group {
+    /// The least `(due, peer, slot)` over the members under `clock`. Due
+    /// times are nondecreasing in the tag, so only the members due when
+    /// the least tag is can tie with it: O(1 + ties).
+    fn earliest(&self, clock: &Clock) -> Head {
+        let mut head = Head::NONE;
+        for m in &self.members {
+            let due = clock.due(self.ec, m.tag);
+            if !(due < f64::INFINITY) || (head.due < f64::INFINITY && due > head.due) {
+                break;
+            }
+            let cand = Head {
+                due,
+                peer: m.peer,
+                slot: m.slot,
+            };
+            if cand.before(&head) {
+                head = cand;
+            }
+        }
+        head
+    }
+}
+
+/// One registered download.
+#[derive(Debug, Clone, Copy)]
+struct Member {
+    slot: u32,
+    file: u32,
+    group: u32,
+    /// Weight divisor (`w = 1/d`).
+    d: u32,
+}
+
+/// Reference to one demand-aware seed source in a subtorrent's source
+/// list: the owner's `ord`-th source, stored at `srcs[id]`. Lists sort by
 /// `(peer, ord)`, the order `compute_rates` accumulates pools in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct SourceRef {
     peer: u32,
     ord: u32,
     id: u32,
+    is_virtual: bool,
 }
 
 /// A seed capacity source owned by one peer, split demand-aware over
@@ -96,56 +219,26 @@ struct Source {
     files: Vec<usize>,
     bandwidth: f64,
     is_virtual: bool,
-    /// `Σ weight` over `files`, valid while `demand_pass` equals the
-    /// cache's refresh count.
+    /// Slab index of the peer that owns it.
+    owner: u32,
+    /// `Σ weight` over `files` (its [`intensity`] is at
+    /// `RateCache::intensity[id]`); recomputed whenever one of the files'
+    /// weights changes.
     demand: f64,
+    /// The refresh that last queued the demand for recomputation.
     demand_pass: u64,
 }
 
 /// What one peer currently has registered in the cache.
 #[derive(Debug, Default)]
 struct PeerReg {
-    /// Active downloads `(slot, file, u, w)` in view order.
-    active: Vec<(u32, u32, f64, f64)>,
-    /// Ids of its seed sources in the source table, in view order.
+    /// Downloads in view order.
+    active: Vec<Member>,
+    /// Pinned seeds `(file, d)`.
+    pinned: Vec<(u32, u32)>,
+    /// Ids of its demand-aware sources in the source table, in view order.
     sources: Vec<u32>,
     registered: bool,
-}
-
-/// A subtorrent's earliest armed completion: the download due first,
-/// ties broken by `(peer, slot)` — the order the event heap pops
-/// equal-time completions in.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Head {
-    /// Completion deadline (the download's `Peer::comp_time`).
-    pub due: f64,
-    /// Slab index of the downloading peer.
-    pub peer: u32,
-    /// The peer's slot.
-    pub slot: u32,
-    /// Stamp of the head's event-queue entry; 0 when no download of the
-    /// file is armed.
-    pub stamp: u64,
-}
-
-impl Head {
-    /// No armed download.
-    const NONE: Head = Head {
-        due: f64::INFINITY,
-        peer: u32::MAX,
-        slot: u32::MAX,
-        stamp: 0,
-    };
-
-    /// Whether download `(peer, slot)` due at `due` comes before this
-    /// head, and so takes its place.
-    fn yields_to(&self, due: f64, peer: u32, slot: u32) -> bool {
-        due < self.due || (due == self.due && (peer, slot) < (self.peer, self.slot))
-    }
-
-    fn is(&self, peer: u32, slot: u32) -> bool {
-        self.peer == peer && self.slot == slot
-    }
 }
 
 /// Adds `i` to a dirty list unless its flag says it is already there.
@@ -164,15 +257,16 @@ fn clear(list: &mut Vec<usize>, flag: &mut [bool]) {
     list.clear();
 }
 
-/// Incrementally maintained per-subtorrent rate aggregates.
+/// Incrementally maintained per-subtorrent rate aggregates and clocks.
 ///
 /// Protocol (driven by the engine around every event):
-/// 1. [`RateCache::deregister`] each peer whose state the event mutates;
+/// 1. [`RateCache::deregister`] each peer whose state the event mutates
+///    (this folds its downloads' progress into the peer);
 /// 2. mutate the peer;
-/// 3. [`RateCache::register`] it again;
-/// 4. call [`RateCache::refresh`] once, which settles and updates every
-///    download whose rate actually changed, re-arms its deadline and
-///    reports the subtorrents whose [`Head`] moved.
+/// 3. [`RateCache::register`] it again (fresh finish tags);
+/// 4. call [`RateCache::refresh`] once, which updates the dirty
+///    aggregates, re-anchors the clocks whose pools changed and moves the
+///    completion heads.
 #[derive(Debug)]
 pub struct RateCache {
     k: usize,
@@ -187,21 +281,33 @@ pub struct RateCache {
     weight: Vec<f64>,
     pool_real: Vec<f64>,
     pool_virtual: Vec<f64>,
-    /// Per file: downloader members sorted by (peer, slot).
-    downloaders: Vec<Vec<Member>>,
-    /// Per file: seed sources serving it, sorted by (peer, ord).
+    /// Per file: downloads by weight divisor (weight `1/d`).
+    wcount: Vec<Counts>,
+    /// Per file: pinned seeds by bandwidth divisor (bandwidth `μ/d`).
+    pcount: Vec<Counts>,
+    /// Per file: demand-aware sources serving it, sorted by (peer, ord).
     sources: Vec<Vec<SourceRef>>,
     /// Source table indexed by [`SourceRef::id`]; `free_srcs` lists the
     /// ids of deregistered sources for reuse.
     srcs: Vec<Source>,
     free_srcs: Vec<u32>,
+    /// Bandwidth per unit demand of each source, parallel to `srcs`: the
+    /// pool pass reads it once per (file, source) pair.
+    intensity: Vec<f64>,
+    /// Sources registered since the last refresh.
+    new_srcs: Vec<u32>,
+    /// Sources whose demand the current refresh recomputes.
+    dirty_srcs: Vec<u32>,
+    clocks: Vec<Clock>,
+    /// Group slab; `free_groups` lists ids for reuse.
+    groups: Vec<Group>,
+    free_groups: Vec<u32>,
+    /// Per file: `(c bits, group id)` of its groups, sorted by `c` bits.
+    file_groups: Vec<Vec<(u64, u32)>>,
+    /// Per-file completion heads.
+    heads: IndexedHeap,
     reg: Vec<PeerReg>,
-    /// Per file: the earliest armed completion.
-    heads: Vec<Head>,
-    /// Heads with a queue entry (non-zero stamp).
-    armed_heads: usize,
-    /// Last head stamp handed out (stamps are unique across files).
-    head_stamp: u64,
+    view: View,
     /// Refreshes that did work; dates the source table's demand sums.
     pass: u64,
     // Dirty tracking (list + flag pairs so marking is O(1) amortized).
@@ -211,21 +317,20 @@ pub struct RateCache {
     dirty_p_flag: Vec<bool>,
     touched: Vec<usize>,
     touched_flag: Vec<bool>,
-    /// Files whose head must be found again by scanning the members.
-    rescan: Vec<usize>,
-    rescan_flag: Vec<bool>,
-    /// Files whose head changed this refresh.
-    moved_flag: Vec<bool>,
+    /// Groups whose due time must be recomputed (flag on the group).
+    dirty_groups: Vec<u32>,
+    /// Files whose head must be recomputed from their groups.
+    head_files: Vec<usize>,
+    head_flag: Vec<bool>,
     // Scratch reused across refreshes.
     wc: Vec<usize>,
     pd: Vec<usize>,
     pd_flag: Vec<bool>,
-    rate_files: Vec<usize>,
-    rate_flag: Vec<bool>,
     owners: Vec<usize>,
     owner_flag: Vec<bool>,
     // Telemetry (drained via `take_stats`, never read by the cache).
-    /// Download-rate recomputations performed since the last drain.
+    /// Rate evaluations (group due times and download registrations)
+    /// since the last drain.
     stat_recomputes: u64,
     /// Refreshes satisfied by the early return (nothing dirty).
     stat_clean: u64,
@@ -252,14 +357,21 @@ impl RateCache {
             weight: vec![0.0; k],
             pool_real: vec![0.0; k],
             pool_virtual: vec![0.0; k],
-            downloaders: vec![Vec::new(); k],
+            wcount: vec![Vec::new(); k],
+            pcount: vec![Vec::new(); k],
             sources: vec![Vec::new(); k],
             srcs: Vec::new(),
             free_srcs: Vec::new(),
+            intensity: Vec::new(),
+            new_srcs: Vec::new(),
+            dirty_srcs: Vec::new(),
+            clocks: vec![Clock::default(); k],
+            groups: Vec::new(),
+            free_groups: Vec::new(),
+            file_groups: vec![Vec::new(); k],
+            heads: IndexedHeap::new(k),
             reg: Vec::new(),
-            heads: vec![Head::NONE; k],
-            armed_heads: 0,
-            head_stamp: 0,
+            view: View::default(),
             pass: 0,
             dirty_w: Vec::new(),
             dirty_w_flag: vec![false; k],
@@ -267,14 +379,12 @@ impl RateCache {
             dirty_p_flag: vec![false; k],
             touched: Vec::new(),
             touched_flag: Vec::new(),
-            rescan: Vec::new(),
-            rescan_flag: vec![false; k],
-            moved_flag: vec![false; k],
+            dirty_groups: Vec::new(),
+            head_files: Vec::new(),
+            head_flag: vec![false; k],
             wc: Vec::new(),
             pd: Vec::new(),
             pd_flag: vec![false; k],
-            rate_files: Vec::new(),
-            rate_flag: vec![false; k],
             owners: Vec::new(),
             owner_flag: Vec::new(),
             stat_recomputes: 0,
@@ -283,7 +393,8 @@ impl RateCache {
     }
 
     /// Drains the telemetry accumulated since the last call:
-    /// `(download-rate recomputations, clean refresh hits)`.
+    /// `(rate evaluations, clean refresh hits)`. A rate evaluation is one
+    /// group due time or one download registration.
     pub fn take_stats(&mut self) -> (u64, u64) {
         let stats = (self.stat_recomputes, self.stat_clean);
         self.stat_recomputes = 0;
@@ -327,30 +438,51 @@ impl RateCache {
         }
     }
 
+    /// Whether peer `idx` currently has its memberships registered.
+    pub fn is_registered(&self, idx: usize) -> bool {
+        self.reg.get(idx).is_some_and(|r| r.registered)
+    }
+
     /// Removes a peer's current memberships from the aggregate structures
-    /// and marks the affected subtorrents dirty. Does not settle — the
-    /// engine settles the peer before calling this.
-    pub fn deregister(&mut self, idx: usize, _peers: &[Peer]) {
+    /// and marks the affected subtorrents dirty. Each download's progress
+    /// up to `t` is folded into the peer ([`Peer::remaining`],
+    /// [`Peer::received_vs`]) first.
+    pub fn deregister(&mut self, idx: usize, peers: &mut [Peer], t: f64) {
         mark(&mut self.touched, &mut self.touched_flag, idx);
         let mut reg = std::mem::take(&mut self.reg[idx]);
-        let peer = idx as u32;
-        for &(slot, file, _u, _w) in &reg.active {
-            let f = file as usize;
-            let list = &mut self.downloaders[f];
-            let pos = list
-                .binary_search_by_key(&(peer, slot), |m| (m.peer, m.slot))
-                .expect("deregistering a member that was never inserted");
-            list.remove(pos);
-            mark(&mut self.dirty_w, &mut self.dirty_w_flag, f);
-            if self.heads[f].is(peer, slot) {
-                mark(&mut self.rescan, &mut self.rescan_flag, f);
+        let p = idx as u32;
+        let peer = &mut peers[idx];
+        for m in &reg.active {
+            let (f, s) = (m.file as usize, m.slot as usize);
+            peer.remaining[s] = self.materialize(m, peer.tag[s], t);
+            peer.received_vs += weight_of(m.d) * (self.clocks[f].phi_at(t) - peer.vs_mark[s]);
+            let g = &mut self.groups[m.group as usize];
+            let removed = g.members.remove(&Tag {
+                tag: peer.tag[s],
+                peer: p,
+                slot: m.slot,
+            });
+            debug_assert!(removed, "deregistering a member that was never inserted");
+            peer.tag[s] = 0.0;
+            peer.vs_mark[s] = 0.0;
+            if !g.dirty {
+                g.dirty = true;
+                self.dirty_groups.push(m.group);
             }
+            count_sub(&mut self.wcount[f], m.d);
+            mark(&mut self.dirty_w, &mut self.dirty_w_flag, f);
+        }
+        for &(f, d) in &reg.pinned {
+            let f = f as usize;
+            count_sub(&mut self.pcount[f], d);
+            mark(&mut self.dirty_p, &mut self.dirty_p_flag, f);
         }
         for (ord, &id) in reg.sources.iter().enumerate() {
             let sref = SourceRef {
-                peer,
+                peer: p,
                 ord: ord as u32,
                 id,
+                is_virtual: self.srcs[id as usize].is_virtual,
             };
             for &f in &self.srcs[id as usize].files {
                 let list = &mut self.sources[f];
@@ -364,57 +496,111 @@ impl RateCache {
         }
         // reg[idx] is left empty (registered = false) until re-registered.
         reg.active.clear();
+        reg.pinned.clear();
         reg.sources.clear();
         reg.registered = false;
         self.reg[idx] = reg;
     }
 
-    /// Computes the peer's current memberships (mirroring
-    /// `crate::rate::view`) and inserts them, marking the affected
-    /// subtorrents dirty. A slot the peer already has armed (a restored
-    /// snapshot) joins with its deadline.
-    pub fn register(&mut self, idx: usize, peers: &[Peer]) {
+    /// Computes the peer's current memberships (the scheme's
+    /// [`crate::rate`] view) and inserts them, marking the affected
+    /// subtorrents dirty. Each download gets a fresh finish tag from its
+    /// remaining work at `t`.
+    pub fn register(&mut self, idx: usize, peers: &mut [Peer], t: f64) {
+        self.join(idx, &peers[idx]);
+        let peer = &mut peers[idx];
+        for i in 0..self.reg[idx].active.len() {
+            let m = self.reg[idx].active[i];
+            let s = m.slot as usize;
+            let clock = self.clocks[m.file as usize];
+            let g = &self.groups[m.group as usize];
+            peer.tag[s] = clock.v_at(g.ec, t) + peer.remaining[s] / weight_of(m.d);
+            peer.vs_mark[s] = clock.phi_at(t);
+            self.insert_member(idx as u32, m, peer.tag[s]);
+        }
+        self.stat_recomputes += self.reg[idx].active.len() as u64;
+    }
+
+    /// Re-inserts a restored peer's memberships under the finish tags it
+    /// carries (snapshot restore; the clocks must be installed first).
+    pub(crate) fn rejoin(&mut self, idx: usize, peers: &[Peer]) {
+        self.join(idx, &peers[idx]);
+        for i in 0..self.reg[idx].active.len() {
+            let m = self.reg[idx].active[i];
+            self.insert_member(idx as u32, m, peers[idx].tag[m.slot as usize]);
+        }
+    }
+
+    fn insert_member(&mut self, peer: u32, m: Member, tag: f64) {
+        let g = &mut self.groups[m.group as usize];
+        let fresh = g.members.insert(Tag {
+            tag,
+            peer,
+            slot: m.slot,
+        });
+        debug_assert!(fresh, "duplicate downloader membership");
+        if !g.dirty {
+            g.dirty = true;
+            self.dirty_groups.push(m.group);
+        }
+    }
+
+    /// Records the peer's view: download memberships (finding or creating
+    /// their groups; tags are inserted by the caller), pinned seeds and
+    /// demand-aware sources.
+    fn join(&mut self, idx: usize, peer: &Peer) {
         mark(&mut self.touched, &mut self.touched_flag, idx);
-        let peer = &peers[idx];
         debug_assert!(!self.reg[idx].registered, "double registration");
         let mut reg = std::mem::take(&mut self.reg[idx]);
         reg.registered = true;
-        self.fill_membership(peer, &mut reg);
-        let p = idx as u32;
-        for &(slot, file, u, w) in &reg.active {
-            let f = file as usize;
-            let s = slot as usize;
-            let due = if peer.comp_stamp[s] != 0 {
-                peer.comp_time[s]
-            } else {
-                f64::INFINITY
-            };
-            let list = &mut self.downloaders[f];
-            let pos = list
-                .binary_search_by_key(&(p, slot), |m| (m.peer, m.slot))
-                .expect_err("duplicate downloader membership");
-            list.insert(
-                pos,
-                Member {
-                    peer: p,
-                    slot,
-                    u,
-                    w,
-                    due,
-                },
-            );
+        let mut view = std::mem::take(&mut self.view);
+        view.fill(peer, self.scheme, self.mu);
+        for d in &view.downloads {
+            let f = d.file as usize;
+            let group = self.group_of(f, d.c);
+            reg.active.push(Member {
+                slot: d.slot,
+                file: d.file,
+                group,
+                d: d.d,
+            });
+            count_add(&mut self.wcount[f], d.d);
             mark(&mut self.dirty_w, &mut self.dirty_w_flag, f);
-            if due < f64::INFINITY {
-                mark(&mut self.rescan, &mut self.rescan_flag, f);
-            }
         }
-        for (ord, &id) in reg.sources.iter().enumerate() {
+        for &(f, d) in &view.pinned {
+            reg.pinned.push((f, d));
+            count_add(&mut self.pcount[f as usize], d);
+            mark(&mut self.dirty_p, &mut self.dirty_p_flag, f as usize);
+        }
+        let p = idx as u32;
+        for (ord, src) in view.shared.iter().enumerate() {
+            let id = match self.free_srcs.pop() {
+                Some(id) => id,
+                None => {
+                    self.srcs.push(Source::default());
+                    self.intensity.push(0.0);
+                    (self.srcs.len() - 1) as u32
+                }
+            };
+            let entry = &mut self.srcs[id as usize];
+            entry.files.clear();
+            entry
+                .files
+                .extend_from_slice(&view.files[src.start..src.end]);
+            entry.bandwidth = src.bandwidth;
+            entry.is_virtual = src.is_virtual;
+            entry.owner = p;
+            entry.demand = 0.0;
+            entry.demand_pass = 0;
+            self.new_srcs.push(id);
+            reg.sources.push(id);
             let sref = SourceRef {
                 peer: p,
                 ord: ord as u32,
                 id,
+                is_virtual: src.is_virtual,
             };
-            for &f in &self.srcs[id as usize].files {
+            for &f in &view.files[src.start..src.end] {
                 let list = &mut self.sources[f];
                 let pos = list
                     .binary_search(&sref)
@@ -423,309 +609,217 @@ impl RateCache {
                 mark(&mut self.dirty_p, &mut self.dirty_p_flag, f);
             }
         }
+        self.view = view;
         self.reg[idx] = reg;
     }
 
-    /// Stores a source in the table (reusing a freed id) and appends its
-    /// id to the peer's source list.
-    fn add_source(
-        &mut self,
-        reg: &mut PeerReg,
-        files: impl IntoIterator<Item = usize>,
-        bandwidth: f64,
-        is_virtual: bool,
-    ) {
-        let id = match self.free_srcs.pop() {
-            Some(id) => id,
-            None => {
-                self.srcs.push(Source::default());
-                (self.srcs.len() - 1) as u32
-            }
-        };
-        let src = &mut self.srcs[id as usize];
-        src.files.clear();
-        src.files.extend(files);
-        src.bandwidth = bandwidth;
-        src.is_virtual = is_virtual;
-        src.demand_pass = 0;
-        reg.sources.push(id);
-    }
-
-    /// Mirrors `crate::rate::view`: what the peer contributes under the
-    /// configured scheme, in the same order.
-    fn fill_membership(&mut self, peer: &Peer, reg: &mut PeerReg) {
-        let mu = self.mu;
-        let class = peer.class() as f64;
-        match self.scheme {
-            SchemeKind::Mtsd => match peer.phase {
-                Phase::Downloading => {
-                    let slot = peer.current_slot();
-                    reg.active
-                        .push((slot as u32, peer.files[slot] as u32, mu, 1.0));
-                }
-                Phase::SeedingFile(slot) => {
-                    self.add_source(reg, [peer.files[slot] as usize], mu, false);
-                }
-                Phase::SeedingAll | Phase::Departed => {}
-            },
-            SchemeKind::Mtcd | SchemeKind::Mfcd => {
-                if peer.phase == Phase::Departed {
-                    return;
-                }
-                let share = mu / class;
-                for slot in 0..peer.class() {
-                    if !peer.finished(slot) {
-                        reg.active
-                            .push((slot as u32, peer.files[slot] as u32, share, 1.0 / class));
-                    } else if peer.seed_until[slot].is_some() {
-                        self.add_source(reg, [peer.files[slot] as usize], share, false);
+    /// The id of file `f`'s group for `c`, created empty if it is new.
+    fn group_of(&mut self, f: usize, c: f64) -> u32 {
+        let bits = c.to_bits();
+        match self.file_groups[f].binary_search_by_key(&bits, |&(b, _)| b) {
+            Ok(i) => self.file_groups[f][i].1,
+            Err(i) => {
+                let group = Group {
+                    file: f as u32,
+                    c,
+                    ec: self.eta * c,
+                    members: BTreeSet::new(),
+                    head: Head::NONE,
+                    dirty: false,
+                };
+                let id = match self.free_groups.pop() {
+                    Some(id) => {
+                        self.groups[id as usize] = group;
+                        id
                     }
-                }
-            }
-            SchemeKind::Cmfsd { .. } => match peer.phase {
-                Phase::Downloading => {
-                    let slot = peer.current_slot();
-                    if peer.done_count() >= 1 {
-                        let rho = peer.rho;
-                        reg.active
-                            .push((slot as u32, peer.files[slot] as u32, rho * mu, 1.0));
-                        let donated = (1.0 - rho) * mu;
-                        if donated > 0.0 {
-                            let files = (0..peer.class())
-                                .filter(|&s| peer.finished(s))
-                                .map(|s| peer.files[s] as usize);
-                            self.add_source(reg, files, donated, true);
-                        }
-                    } else {
-                        reg.active
-                            .push((slot as u32, peer.files[slot] as u32, mu, 1.0));
+                    None => {
+                        self.groups.push(group);
+                        (self.groups.len() - 1) as u32
                     }
-                }
-                Phase::SeedingAll => {
-                    let files = peer.files.iter().map(|&f| f as usize);
-                    self.add_source(reg, files, mu, false);
-                }
-                Phase::SeedingFile(_) | Phase::Departed => {}
-            },
+                };
+                self.file_groups[f].insert(i, (bits, id));
+                id
+            }
         }
     }
 
-    /// Recomputes dirty aggregates and updates the rates they feed,
-    /// settling every download/donation whose rate bit-changes before the
-    /// new value is stored on the peer.
+    /// Recomputes dirty aggregates, re-anchors every clock whose `(ψ, φ)`
+    /// changed in its bits, recomputes the due time of every dirty group
+    /// and moves the heads of their files.
     ///
     /// With `force` the full recompute path of the seed engine is
-    /// replayed: every weight, pool, and rate is recomputed (and, by the
-    /// ordered-resummation argument in the module docs, every unchanged
-    /// one reproduces its cached bits). A changed rate re-arms the
-    /// download's deadline, drawing fresh deadline stamps from
-    /// `next_stamp`. `moved` receives every subtorrent whose [`Head`]
-    /// changed; its new head carries a fresh stamp (0 when nothing is
-    /// armed on it).
-    pub fn refresh(
-        &mut self,
-        peers: &mut [Peer],
-        t: f64,
-        force: bool,
-        next_stamp: &mut u64,
-        moved: &mut Vec<usize>,
-    ) {
-        moved.clear();
+    /// replayed: every weight, pool, clock rate, group due time and head
+    /// is recomputed (and, by the contract in the module docs, every
+    /// unchanged one reproduces its bits).
+    pub fn refresh(&mut self, peers: &mut [Peer], t: f64, force: bool) {
         if !force
             && self.dirty_w.is_empty()
             && self.dirty_p.is_empty()
             && self.touched.is_empty()
-            && self.rescan.is_empty()
+            && self.dirty_groups.is_empty()
         {
             self.stat_clean += 1;
             return;
         }
         self.pass += 1;
+        let k = self.k;
 
         // Pass 1: weights. `wc` collects the bit-changed files.
         self.wc.clear();
+        let dirty = std::mem::take(&mut self.dirty_w);
         if force {
-            for f in 0..self.k {
+            for f in 0..k {
                 self.recompute_weight(f);
             }
         } else {
-            let dirty = std::mem::take(&mut self.dirty_w);
             for &f in &dirty {
                 self.recompute_weight(f);
             }
-            self.dirty_w = dirty;
         }
+        self.dirty_w = dirty;
 
-        // Pass 2: the pool-dirty set `pd` (marking stops once it holds
-        // every file; the order files entered it is kept).
+        // Pass 2: the demand-dirty sources (new ones and those serving a
+        // weight-changed file, each stamped with `pass` once) and the
+        // pool-dirty set `pd`: the files of those sources, the files
+        // whose pinned seeds or source lists changed, and every file when
+        // the demand-aware origin's total demand moved.
         self.pd.clear();
-        if force {
-            for f in 0..self.k {
-                mark(&mut self.pd, &mut self.pd_flag, f);
-            }
-        } else {
-            for &f in &self.dirty_p {
-                mark(&mut self.pd, &mut self.pd_flag, f);
-            }
-            'mark: for &f in &self.wc {
-                if self.pd.len() == self.k {
-                    break;
-                }
-                mark(&mut self.pd, &mut self.pd_flag, f);
-                // Sources serving a weight-changed file redistribute their
-                // bandwidth over all their files.
-                for sref in &self.sources[f] {
-                    for &g in &self.srcs[sref.id as usize].files {
+        for &f in &self.dirty_p {
+            mark(&mut self.pd, &mut self.pd_flag, f);
+        }
+        // Under `force` every file counts as weight-changed.
+        let all = if force { 0..k } else { 0..0 };
+        for f in all.chain(self.wc.iter().copied()) {
+            mark(&mut self.pd, &mut self.pd_flag, f);
+            for sref in &self.sources[f] {
+                let src = &mut self.srcs[sref.id as usize];
+                if src.demand_pass != self.pass {
+                    src.demand_pass = self.pass;
+                    self.dirty_srcs.push(sref.id);
+                    // The source redistributes its bandwidth over all its
+                    // files.
+                    for &g in &src.files {
                         mark(&mut self.pd, &mut self.pd_flag, g);
-                        if self.pd.len() == self.k {
-                            break 'mark;
-                        }
                     }
                 }
             }
-            if self.origin_demand_aware && self.origin_bw > 0.0 && !self.wc.is_empty() {
-                for f in 0..self.k {
-                    mark(&mut self.pd, &mut self.pd_flag, f);
-                }
+        }
+        for i in 0..self.new_srcs.len() {
+            let src = &mut self.srcs[self.new_srcs[i] as usize];
+            if src.demand_pass != self.pass {
+                src.demand_pass = self.pass;
+                self.dirty_srcs.push(self.new_srcs[i]);
+            }
+        }
+        if self.origin_demand_aware && self.origin_bw > 0.0 && !self.wc.is_empty() {
+            for f in 0..k {
+                mark(&mut self.pd, &mut self.pd_flag, f);
             }
         }
 
-        // Pass 3: pools, collecting donation owners along the way. Each
-        // source's demand is summed once and dated with `pass`.
+        // Pass 3: source demands, then pools and clocks. A virtual source
+        // whose demand starts or stops marks its owner's donation rate for
+        // recomputation (a donation is the bandwidth of the sources with
+        // demand).
         self.owners.clear();
         for &p in &self.touched {
             mark(&mut self.owners, &mut self.owner_flag, p);
         }
-        let origin_demand: f64 = if self.origin_demand_aware && self.origin_bw > 0.0 {
+        for &id in &self.dirty_srcs {
+            let src = &mut self.srcs[id as usize];
+            let had = src.demand > 0.0;
+            src.demand = src.files.iter().map(|&g| self.weight[g]).sum();
+            self.intensity[id as usize] = intensity(src.bandwidth, src.demand);
+            if src.is_virtual && had != (src.demand > 0.0) {
+                mark(&mut self.owners, &mut self.owner_flag, src.owner as usize);
+            }
+        }
+        self.dirty_srcs.clear();
+        self.new_srcs.clear();
+        let total_weight: f64 = if self.origin_demand_aware && self.origin_bw > 0.0 {
             self.weight.iter().sum()
         } else {
             0.0
         };
-        for &f in &self.pd {
+        for i in 0..self.pd.len() {
+            let f = self.pd[i];
             let wf = self.weight[f];
-            let mut pr = 0.0;
-            let mut pv = 0.0;
-            if self.origin_bw > 0.0 {
-                if self.origin_demand_aware {
-                    if origin_demand > 0.0 && wf > 0.0 {
-                        pr += self.origin_bw * wf / origin_demand;
-                    }
-                } else {
-                    pr += self.origin_bw;
-                }
-            }
-            for sref in &self.sources[f] {
-                let src = &mut self.srcs[sref.id as usize];
-                if src.demand_pass != self.pass {
-                    src.demand = src.files.iter().map(|&g| self.weight[g]).sum();
-                    src.demand_pass = self.pass;
-                }
-                if src.is_virtual {
-                    mark(&mut self.owners, &mut self.owner_flag, sref.peer as usize);
-                }
-                if src.demand <= 0.0 {
-                    continue;
-                }
-                if wf > 0.0 {
-                    let share = src.bandwidth * wf / src.demand;
-                    if src.is_virtual {
-                        pv += share;
-                    } else {
-                        pr += share;
+            let origin = origin_share(self.origin_bw, self.origin_demand_aware, wf, total_weight);
+            let q = &self.intensity;
+            let (pr, pv) = file_pools(
+                origin,
+                wf,
+                &self.pcount[f],
+                self.mu,
+                self.sources[f]
+                    .iter()
+                    .map(|sref| (sref.is_virtual, q[sref.id as usize])),
+            );
+            self.pool_real[f] = pr;
+            self.pool_virtual[f] = pv;
+            let (psi, phi) = per_weight(wf, pr, pv);
+            let clock = &mut self.clocks[f];
+            if psi.to_bits() != clock.psi.to_bits() || phi.to_bits() != clock.phi.to_bits() {
+                clock.psi_acc = clock.psi_at(t);
+                clock.phi_acc = clock.phi_at(t);
+                clock.anchor = t;
+                clock.psi = psi;
+                clock.phi = phi;
+                for &(_, g) in &self.file_groups[f] {
+                    let grp = &mut self.groups[g as usize];
+                    if !grp.dirty {
+                        grp.dirty = true;
+                        self.dirty_groups.push(g);
                     }
                 }
-            }
-            if pr.to_bits() != self.pool_real[f].to_bits()
-                || pv.to_bits() != self.pool_virtual[f].to_bits()
-            {
-                self.pool_real[f] = pr;
-                self.pool_virtual[f] = pv;
-                mark(&mut self.rate_files, &mut self.rate_flag, f);
             }
         }
 
-        // Pass 4: download rates for members of weight- or pool-changed
-        // files plus all active slots of touched peers. Under `force` the
-        // seed engine's full pass is replayed: every rate is recomputed
-        // (unchanged ones are bitwise no-ops and trigger nothing).
+        // Pass 4: due times of dirty groups (every group under `force`);
+        // empty groups are dropped. Their files' heads are recomputed.
         if force {
-            for f in 0..self.k {
-                mark(&mut self.rate_files, &mut self.rate_flag, f);
-            }
-        }
-        for &f in &self.wc {
-            mark(&mut self.rate_files, &mut self.rate_flag, f);
-        }
-        let mut recomputed = 0u64;
-        for i in 0..self.rate_files.len() {
-            let f = self.rate_files[i];
-            recomputed += self.downloaders[f].len() as u64;
-            // Every member is visited: its minimum deadline is the head.
-            let mut head = Head::NONE;
-            for j in 0..self.downloaders[f].len() {
-                let m = self.downloaders[f][j];
-                let due =
-                    match self.recompute_rate(peers, t, m.peer, m.slot, f, m.u, m.w, next_stamp) {
-                        Some(due) => {
-                            self.downloaders[f][j].due = due;
-                            due
-                        }
-                        None => m.due,
-                    };
-                if due < head.due {
-                    head = Head {
-                        due,
-                        peer: m.peer,
-                        slot: m.slot,
-                        stamp: 0,
-                    };
+            for f in 0..k {
+                for &(_, g) in &self.file_groups[f] {
+                    let grp = &mut self.groups[g as usize];
+                    if !grp.dirty {
+                        grp.dirty = true;
+                        self.dirty_groups.push(g);
+                    }
                 }
             }
-            self.settle_head(f, head);
         }
-        for i in 0..self.touched.len() {
-            let p = self.touched[i];
-            recomputed += self.reg[p].active.len() as u64;
-            for j in 0..self.reg[p].active.len() {
-                let (slot, file, u, w) = self.reg[p].active[j];
-                let f = file as usize;
-                let Some(due) = self.recompute_rate(peers, t, p as u32, slot, f, u, w, next_stamp)
-                else {
-                    continue;
-                };
-                // A rate file's members were just recomputed against the
-                // same aggregates, so in practice only files reached
-                // through touched peers alone change here.
-                let pos = self.downloaders[f]
-                    .binary_search_by_key(&(p as u32, slot), |m| (m.peer, m.slot))
-                    .expect("touched download is a member");
-                self.downloaders[f][pos].due = due;
-                self.note_due(f, p as u32, slot, due);
+        let mut evaluated = 0u64;
+        for i in 0..self.dirty_groups.len() {
+            let g = self.dirty_groups[i];
+            let grp = &mut self.groups[g as usize];
+            grp.dirty = false;
+            let f = grp.file as usize;
+            mark(&mut self.head_files, &mut self.head_flag, f);
+            if grp.members.is_empty() {
+                let list = &mut self.file_groups[f];
+                let pos = list
+                    .binary_search_by_key(&grp.c.to_bits(), |&(b, _)| b)
+                    .expect("a live group is listed under its file");
+                list.remove(pos);
+                self.free_groups.push(g);
+            } else {
+                grp.head = grp.earliest(&self.clocks[f]);
+                evaluated += 1;
             }
         }
-        self.stat_recomputes += recomputed;
-        // Heads whose download left or whose entry was popped, unless the
-        // rate pass already scanned the file.
-        for i in 0..self.rescan.len() {
-            let f = self.rescan[i];
-            if self.rate_flag[f] {
-                continue;
+        self.dirty_groups.clear();
+        self.stat_recomputes += evaluated;
+        for i in 0..self.head_files.len() {
+            let f = self.head_files[i];
+            let head = self.scan_head(f);
+            if head.due < f64::INFINITY {
+                self.heads.set(f, head);
+            } else {
+                self.heads.remove(f);
             }
-            let mut head = Head::NONE;
-            for m in &self.downloaders[f] {
-                if m.due < head.due {
-                    head = Head {
-                        due: m.due,
-                        peer: m.peer,
-                        slot: m.slot,
-                        stamp: 0,
-                    };
-                }
-            }
-            self.settle_head(f, head);
         }
 
-        // Pass 5: donation rates for owners, from the demands of pass 3.
+        // Pass 5: donation rates for owners, from the current demands.
         if force {
             for p in 0..self.reg.len() {
                 mark(&mut self.owners, &mut self.owner_flag, p);
@@ -738,12 +832,7 @@ impl RateCache {
                 if !src.is_virtual {
                     continue;
                 }
-                let demand: f64 = if src.demand_pass == self.pass {
-                    src.demand
-                } else {
-                    src.files.iter().map(|&g| self.weight[g]).sum()
-                };
-                if demand > 0.0 {
+                if src.demand > 0.0 {
                     dr += src.bandwidth;
                 }
             }
@@ -754,147 +843,139 @@ impl RateCache {
             }
         }
 
-        // Publish the moved heads under fresh stamps.
-        for f in 0..self.k {
-            if !self.moved_flag[f] {
-                continue;
-            }
-            self.moved_flag[f] = false;
-            let head = &mut self.heads[f];
-            if head.stamp != 0 {
-                self.armed_heads -= 1;
-            }
-            if head.due < f64::INFINITY {
-                self.head_stamp += 1;
-                head.stamp = self.head_stamp;
-                self.armed_heads += 1;
-            } else {
-                *head = Head::NONE;
-            }
-            moved.push(f);
-        }
-
         // Reset dirty/scratch state for the next round.
         clear(&mut self.dirty_w, &mut self.dirty_w_flag);
         clear(&mut self.dirty_p, &mut self.dirty_p_flag);
         clear(&mut self.touched, &mut self.touched_flag);
-        clear(&mut self.rescan, &mut self.rescan_flag);
+        clear(&mut self.head_files, &mut self.head_flag);
         clear(&mut self.pd, &mut self.pd_flag);
-        clear(&mut self.rate_files, &mut self.rate_flag);
         clear(&mut self.owners, &mut self.owner_flag);
         self.wc.clear();
     }
 
-    /// Installs a freshly computed head for `f` when it differs from the
-    /// current one.
-    fn settle_head(&mut self, f: usize, head: Head) {
-        let cur = &mut self.heads[f];
-        if cur.due.to_bits() != head.due.to_bits() || !cur.is(head.peer, head.slot) {
-            *cur = Head {
-                stamp: cur.stamp,
-                ..head
-            };
-            self.moved_flag[f] = true;
+    /// File `f`'s head from its groups' due times.
+    fn scan_head(&self, f: usize) -> Head {
+        let mut head = Head::NONE;
+        for &(_, g) in &self.file_groups[f] {
+            let cand = self.groups[g as usize].head;
+            if cand.before(&head) {
+                head = cand;
+            }
         }
+        head
     }
 
-    /// Folds a touched download's new deadline into its file's head
-    /// without a scan: an earlier deadline takes the head. (A head whose
-    /// own download moved later or disarmed was deregistered first, which
-    /// queued its file for a rescan.)
-    fn note_due(&mut self, f: usize, peer: u32, slot: u32, due: f64) {
-        let cur = self.heads[f];
-        if cur.yields_to(due, peer, slot) {
-            self.heads[f] = Head {
-                due,
-                peer,
-                slot,
-                stamp: cur.stamp,
-            };
-            self.moved_flag[f] = true;
-        }
-    }
-
-    /// Re-sums `weight[f]` over the ordered member list; records a bit
-    /// change in `wc`.
+    /// Re-sums `weight[f]` from its counts; records a bit change in `wc`.
     fn recompute_weight(&mut self, f: usize) {
-        let s: f64 = self.downloaders[f].iter().map(|m| m.w).sum();
+        let s = weight_sum(&self.wcount[f]);
         if s.to_bits() != self.weight[f].to_bits() {
             self.weight[f] = s;
             self.wc.push(f);
         }
     }
 
-    /// Recomputes one download's rate with the exact float expression of
-    /// `compute_rates`. On a bit change it settles the slot, stores the
-    /// rate and re-arms the completion deadline, returning the new
-    /// deadline (+∞ when the download cannot progress); `None` when the
-    /// rate is unchanged.
-    ///
-    /// A deadline that moved earlier (or a first arming) takes a fresh
-    /// stamp from `next_stamp`; one that stayed or moved later keeps its
-    /// stamp and only records the new time.
-    #[allow(clippy::too_many_arguments)]
-    fn recompute_rate(
-        &self,
-        peers: &mut [Peer],
-        t: f64,
-        p: u32,
-        slot: u32,
-        f: usize,
-        u: f64,
-        w: f64,
-        next_stamp: &mut u64,
-    ) -> Option<f64> {
-        let share = if self.weight[f] > 0.0 {
-            w / self.weight[f]
+    /// The registered download `(idx, slot)` and its group, if any.
+    fn member(&self, idx: usize, slot: usize) -> Option<(Member, &Group)> {
+        let m = *self
+            .reg
+            .get(idx)?
+            .active
+            .iter()
+            .find(|m| m.slot as usize == slot)?;
+        Some((m, &self.groups[m.group as usize]))
+    }
+
+    /// Whether slot `slot` of peer `idx` is a registered download.
+    pub fn is_downloading(&self, idx: usize, slot: usize) -> bool {
+        self.member(idx, slot).is_some()
+    }
+
+    /// `(rate, vs_rate)` of download `(idx, slot)`: zero when the slot is
+    /// not downloading.
+    pub fn rate(&self, idx: usize, slot: usize) -> (f64, f64) {
+        match self.member(idx, slot) {
+            Some((m, g)) => {
+                let clock = &self.clocks[m.file as usize];
+                download_rate(weight_of(m.d), g.ec, clock.psi, clock.phi)
+            }
+            None => (0.0, 0.0),
+        }
+    }
+
+    /// Remaining work of slot `slot` of peer `idx` at `t`, materialized
+    /// from its finish tag while it downloads (as [`Self::deregister`]
+    /// would fold it).
+    pub fn remaining(&self, peers: &[Peer], idx: usize, slot: usize, t: f64) -> f64 {
+        match self.member(idx, slot) {
+            Some((m, _)) => self.materialize(&m, peers[idx].tag[slot], t),
+            None => peers[idx].remaining[slot],
+        }
+    }
+
+    /// Remaining work at `t` of download `m` with finish tag `tag`:
+    /// `w·(tag − V(t))`. Only the completion event finishes a download, so
+    /// progress that rounds to zero or below leaves the smallest positive
+    /// remainder for the completion that is due now.
+    fn materialize(&self, m: &Member, tag: f64, t: f64) -> f64 {
+        let ec = self.groups[m.group as usize].ec;
+        let left = weight_of(m.d) * (tag - self.clocks[m.file as usize].v_at(ec, t));
+        if left > 0.0 {
+            left
         } else {
-            0.0
-        };
-        let from_real = share * self.pool_real[f];
-        let from_virtual = share * self.pool_virtual[f];
-        let rate = self.eta * u + from_real + from_virtual;
-        let peer = &mut peers[p as usize];
-        let s = slot as usize;
-        if rate.to_bits() == peer.rate[s].to_bits()
-            && from_virtual.to_bits() == peer.vs_rate[s].to_bits()
-        {
-            return None;
+            f64::MIN_POSITIVE
         }
-        peer.settle_slot(s, t);
-        peer.rate[s] = rate;
-        peer.vs_rate[s] = from_virtual;
-        if !(rate > 0.0 && peer.remaining[s] > 0.0) {
-            peer.comp_stamp[s] = 0;
-            return Some(f64::INFINITY);
-        }
-        let time = t + peer.remaining[s] / rate;
-        if peer.comp_stamp[s] == 0 || time < peer.comp_time[s] {
-            peer.comp_stamp[s] = *next_stamp;
-            *next_stamp += 1;
-        }
-        peer.comp_time[s] = time;
-        Some(time)
     }
 
-    /// The earliest armed completion of subtorrent `f`.
+    /// Completion deadline of download `(idx, slot)` under the current
+    /// clocks (+∞ when it is not downloading or cannot progress).
+    pub fn due(&self, peers: &[Peer], idx: usize, slot: usize) -> f64 {
+        match self.member(idx, slot) {
+            Some((m, g)) => self.clocks[m.file as usize].due(g.ec, peers[idx].tag[slot]),
+            None => f64::INFINITY,
+        }
+    }
+
+    /// Folds every registered download's progress up to `t` into its peer
+    /// without deregistering it (end of run). Re-marks the virtual-seed
+    /// clock so a second call adds nothing twice.
+    pub(crate) fn settle_all(&self, peers: &mut [Peer], t: f64) {
+        for (idx, reg) in self.reg.iter().enumerate() {
+            if !reg.registered || idx >= peers.len() {
+                continue;
+            }
+            for m in &reg.active {
+                let s = m.slot as usize;
+                let left = self.remaining(peers, idx, s, t);
+                peers[idx].remaining[s] = left;
+                let clock = &self.clocks[m.file as usize];
+                let peer = &mut peers[idx];
+                let phi = clock.phi_at(t);
+                peer.received_vs += weight_of(m.d) * (phi - peer.vs_mark[s]);
+                peer.vs_mark[s] = phi;
+            }
+        }
+    }
+
+    /// The earliest completion head of file `f` ([`Head::NONE`] when none
+    /// of its downloads can complete).
     pub fn head(&self, f: usize) -> Head {
-        self.heads[f]
+        self.heads.get(f).unwrap_or(Head::NONE)
     }
 
-    /// Number of subtorrents with an armed head (one queue entry each).
-    pub fn armed_heads(&self) -> usize {
-        self.armed_heads
+    /// The earliest completion over all files.
+    pub fn next_head(&self) -> Option<Head> {
+        self.heads.peek().map(|(_, head)| head)
     }
 
-    /// Drops `f`'s head after the engine popped its entry: the next
-    /// [`Self::refresh`] finds and publishes the file's new head.
-    pub fn consume_head(&mut self, f: usize) {
-        if self.heads[f].stamp != 0 {
-            self.armed_heads -= 1;
-        }
-        self.heads[f] = Head::NONE;
-        mark(&mut self.rescan, &mut self.rescan_flag, f);
+    /// The per-file clocks (snapshots).
+    pub(crate) fn clocks(&self) -> &[Clock] {
+        &self.clocks
+    }
+
+    /// Installs serialized clocks into a fresh cache before the restored
+    /// peers [`Self::rejoin`].
+    pub(crate) fn set_clocks(&mut self, clocks: &[Clock]) {
+        self.clocks.copy_from_slice(clocks);
     }
 
     /// Current downloader weight per subtorrent.
@@ -912,8 +993,8 @@ impl RateCache {
         &self.pool_virtual
     }
 
-    /// Materializes a [`RateSnapshot`] from the cached state (testing and
-    /// verification; downloads in the same order `compute_rates` emits).
+    /// Materializes a [`RateSnapshot`] from the cached state (audits and
+    /// tests; downloads in the same order `compute_rates` emits).
     pub fn snapshot(&self, peers: &[Peer]) -> RateSnapshot {
         let mut snap = RateSnapshot {
             downloads: Vec::new(),
@@ -923,17 +1004,154 @@ impl RateCache {
             if idx >= peers.len() {
                 break;
             }
-            for &(slot, _f, _u, _w) in &reg.active {
-                let s = slot as usize;
+            for m in &reg.active {
+                let s = m.slot as usize;
+                let (rate, vs_rate) = self.rate(idx, s);
                 snap.downloads.push(ActiveDownload {
                     peer_idx: idx,
                     slot: s,
-                    rate: peers[idx].rate[s],
-                    vs_rate: peers[idx].vs_rate[s],
+                    rate,
+                    vs_rate,
                 });
             }
             snap.donations[idx] = peers[idx].donation_rate;
         }
         snap
+    }
+
+    /// Audits the clocks and heads against brute force at time `t`:
+    /// every registered download sits in its group under the tag its peer
+    /// carries and nothing else does; each group's head is the least
+    /// `(due, peer, slot)` over its members' deadlines; each file's head
+    /// is the least of its groups' and the heap's top the earliest head
+    /// (so each is the least over every download's deadline); each clock is finite,
+    /// anchored no later than `t`, nondecreasing (`ψ, φ ≥ 0`) and agrees
+    /// with the current weight and pools.
+    ///
+    /// # Errors
+    /// A description of the first violation.
+    pub fn audit(&self, peers: &[Peer], t: f64) -> Result<(), String> {
+        // Per group: the least `(due, peer, slot)` over its registered
+        // downloads, each due time from that download's own tag.
+        let mut least = vec![Head::NONE; self.groups.len()];
+        let mut count = vec![0usize; self.groups.len()];
+        for (idx, reg) in self.reg.iter().enumerate() {
+            if !reg.registered {
+                continue;
+            }
+            for m in &reg.active {
+                let tag = Tag {
+                    tag: peers[idx].tag[m.slot as usize],
+                    peer: idx as u32,
+                    slot: m.slot,
+                };
+                let g = &self.groups[m.group as usize];
+                if g.file != m.file || !g.members.contains(&tag) {
+                    return Err(format!(
+                        "peer {idx} slot {}: tag {} missing from its group",
+                        m.slot, tag.tag
+                    ));
+                }
+                if !tag.tag.is_finite() {
+                    return Err(format!("peer {idx} slot {}: tag {}", m.slot, tag.tag));
+                }
+                let cand = Head {
+                    due: self.clocks[m.file as usize].due(g.ec, tag.tag),
+                    peer: tag.peer,
+                    slot: tag.slot,
+                };
+                let g = m.group as usize;
+                count[g] += 1;
+                if cand.due < f64::INFINITY && cand.before(&least[g]) {
+                    least[g] = cand;
+                }
+            }
+        }
+        for f in 0..self.k {
+            let clock = &self.clocks[f];
+            let parts = [
+                clock.anchor,
+                clock.psi_acc,
+                clock.phi_acc,
+                clock.psi,
+                clock.phi,
+            ];
+            if parts.iter().any(|v| !v.is_finite())
+                || clock.anchor > t
+                || [clock.psi_acc, clock.phi_acc, clock.psi, clock.phi]
+                    .iter()
+                    .any(|&v| v < 0.0)
+            {
+                return Err(format!("file {f}: clock {clock:?} at t = {t}"));
+            }
+            let (psi, phi) = per_weight(self.weight[f], self.pool_real[f], self.pool_virtual[f]);
+            if psi.to_bits() != clock.psi.to_bits() || phi.to_bits() != clock.phi.to_bits() {
+                return Err(format!(
+                    "file {f}: clock runs at ({}, {}), pools give ({psi}, {phi})",
+                    clock.psi, clock.phi
+                ));
+            }
+            let mut head = Head::NONE;
+            for &(bits, g) in &self.file_groups[f] {
+                let grp = &self.groups[g as usize];
+                if grp.c.to_bits() != bits || grp.file as usize != f {
+                    return Err(format!("file {f}: group {g} listed under the wrong key"));
+                }
+                if grp.members.len() != count[g as usize] {
+                    return Err(format!(
+                        "file {f}: group {g} holds {} members, {} registered",
+                        grp.members.len(),
+                        count[g as usize]
+                    ));
+                }
+                if count[g as usize] == 0 {
+                    return Err(format!("file {f}: empty group {g} still listed"));
+                }
+                let want = least[g as usize];
+                if (grp.head.due.to_bits(), grp.head.peer, grp.head.slot)
+                    != (want.due.to_bits(), want.peer, want.slot)
+                {
+                    return Err(format!(
+                        "file {f}: group {g} head {:?} vs least member deadline {want:?}",
+                        grp.head
+                    ));
+                }
+                if want.before(&head) {
+                    head = want;
+                }
+            }
+            let have = self.head(f);
+            if (have.due.to_bits(), have.peer, have.slot)
+                != (head.due.to_bits(), head.peer, head.slot)
+            {
+                return Err(format!(
+                    "file {f}: head {have:?} vs earliest group {head:?}"
+                ));
+            }
+        }
+        let listed: usize = self.file_groups.iter().map(Vec::len).sum();
+        let stray = count.iter().enumerate().any(|(g, &n)| {
+            n > 0
+                && !self.file_groups[self.groups[g].file as usize]
+                    .iter()
+                    .any(|&(_, id)| id as usize == g)
+        });
+        if stray || listed + self.free_groups.len() != self.groups.len() {
+            return Err("a group with members is not listed under its file".into());
+        }
+        let top = (0..self.k)
+            .map(|f| self.head(f))
+            .filter(|h| h.due < f64::INFINITY)
+            .fold(None::<Head>, |best, h| match best {
+                Some(b) if !h.before(&b) => Some(b),
+                _ => Some(h),
+            });
+        if self.next_head() != top {
+            return Err(format!(
+                "heap top {:?} vs earliest head {top:?}",
+                self.next_head()
+            ));
+        }
+        Ok(())
     }
 }

@@ -11,20 +11,23 @@
 //!
 //! ## What is deliberately *not* serialized
 //!
-//! * The [`crate::rate_cache::RateCache`] and the event heap: both are
-//!   derived structures. Restore re-registers every live peer and replays
-//!   one cache refresh, which by the cache's ordered-resummation contract
-//!   must be a bitwise no-op (a non-empty change set means the snapshot
-//!   and the rebuild disagree and restore fails with
+//! * The [`crate::rate_cache::RateCache`]'s aggregates, groups and heads
+//!   and the event heap: all are derived. What the cache cannot derive
+//!   travels verbatim: each subtorrent's `Clock` (anchor, `Ψ`, `Φ` and
+//!   the rates `ψ`, `φ`) and each download's finish tag and virtual-seed
+//!   mark, which sit on the peer. Restore installs the clocks,
+//!   re-inserts every live peer's downloads under their tags and replays
+//!   one cache refresh, which by the cache's canonical-sum contract must
+//!   reproduce every clock rate bit for bit (a re-anchored clock means
+//!   the snapshot and the rebuild disagree and restore fails with
 //!   [`crate::DesError::Invariant`]). Heap entries are rebuilt from the
 //!   per-peer bookkeeping: one expiry entry per `expiry_stamp` (stamp
 //!   values preserved, so future pushes continue the same monotone stamp
-//!   sequence), and one completion entry per subtorrent head, found from
-//!   the armed `comp_stamp`/`comp_time` slots. Stale entries and
-//!   lazy-later corrections are invisible to the dispatched event order
-//!   (live entries are unique per `(time, rank, peer, slot)`), so dropping
-//!   them is sound; only the queue-shape counters `stale_discards` and
-//!   `heap_peak` of a resumed run differ from an uninterrupted one's.
+//!   sequence). Stale entries and lazy-later corrections are invisible to
+//!   the dispatched event order (live entries are unique per `(time,
+//!   rank, peer, slot)`), so dropping them is sound; only the queue-shape
+//!   counters `stale_discards` and `heap_peak` of a resumed run differ
+//!   from an uninterrupted one's.
 //! * Per-class population counters and rarest-first holder counts: both
 //!   are recomputed from the restored slab.
 //! * The `BTFLUID_DES_TRACE` debug state: stderr tracing is not part of
@@ -63,6 +66,7 @@ use crate::config::{DesConfig, OrderPolicy, SchemeKind};
 use crate::hook::ScenarioHook;
 use crate::observer::{AbortRecord, ClassStats, PopulationStats, SimOutcome, UserRecord};
 use crate::peer::{Peer, Phase};
+use crate::rate_cache::Clock;
 use btfluid_numkit::series::TimeSeries;
 use btfluid_numkit::stats::Welford;
 use btfluid_telemetry::Counters;
@@ -70,16 +74,17 @@ use btfluid_workload::requests::FileId;
 use std::fmt;
 
 /// Snapshot format version of per-peer-scheduling runs (see the module
-/// docs for the policy). v2 added the telemetry counters and sampler
-/// phase (`next_sample`, `last_delta`) so resumed runs emit the same
-/// trace tail as uninterrupted ones.
-pub const SNAPSHOT_VERSION: u32 = 2;
-/// Snapshot format version of aggregate-scheduling runs: the v2 payload
-/// followed by the aggregate section (sampling RNG state, the two
-/// aggregate counters, and per-group hazard state plus member order).
-/// Per-peer snapshots still encode as v2, byte-identical to previous
-/// builds; the bump only applies where the extra section is present.
-pub const SNAPSHOT_VERSION_AGG: u32 = 3;
+/// docs for the policy). v5 replaced the per-slot rates, settlement
+/// times and completion stamps of v2 with finish tags and virtual-seed
+/// marks, and added the per-subtorrent clocks. (Version 4 is the hybrid
+/// driver's frame, which shares the magic.)
+pub const SNAPSHOT_VERSION: u32 = 5;
+/// Snapshot format version of aggregate-scheduling runs: the per-peer
+/// payload without the clocks, followed by the aggregate section
+/// (sampling RNG state, the two aggregate counters, and per-group hazard
+/// state plus member order). v6 carries v5's peer layout; v3 carried
+/// v2's.
+pub const SNAPSHOT_VERSION_AGG: u32 = 6;
 
 /// Why a snapshot could not be encoded, decoded, or applied.
 #[derive(Debug, Clone, PartialEq)]
@@ -249,6 +254,9 @@ pub struct Snapshot {
     pub(crate) next_sample: f64,
     /// Mean Adapt Δ observed at the most recent epoch (telemetry only).
     pub(crate) last_delta: f64,
+    /// The rate cache's per-subtorrent clocks (per-peer runs; empty under
+    /// aggregate scheduling).
+    pub(crate) clocks: Vec<Clock>,
     /// Aggregate-scheduling section, present exactly when the run uses
     /// aggregate mode (and then the file encodes as
     /// [`SNAPSHOT_VERSION_AGG`]).
@@ -381,6 +389,14 @@ impl Snapshot {
         w.u64(self.counters.snapshot_micros);
         w.f64(self.next_sample);
         w.f64(self.last_delta);
+        if self.agg.is_none() {
+            w.u64(self.clocks.len() as u64);
+            for c in &self.clocks {
+                for x in [c.anchor, c.psi_acc, c.phi_acc, c.psi, c.phi] {
+                    w.f64(x);
+                }
+            }
+        }
         if let Some(agg) = &self.agg {
             for &word in &agg.rng_agg {
                 w.u64(word);
@@ -492,6 +508,19 @@ impl Snapshot {
         };
         let next_sample = r.f64()?;
         let last_delta = r.f64()?;
+        let mut clocks = Vec::new();
+        if version == SNAPSHOT_VERSION {
+            let n = r.len(5 * 8)?;
+            for _ in 0..n {
+                clocks.push(Clock {
+                    anchor: r.f64()?,
+                    psi_acc: r.f64()?,
+                    phi_acc: r.f64()?,
+                    psi: r.f64()?,
+                    phi: r.f64()?,
+                });
+            }
+        }
         let agg = if version == SNAPSHOT_VERSION_AGG {
             let mut rng_agg = [0u64; 4];
             for word in &mut rng_agg {
@@ -556,6 +585,7 @@ impl Snapshot {
             counters,
             next_sample,
             last_delta,
+            clocks,
             agg,
         })
     }
@@ -604,24 +634,15 @@ fn encode_peer(w: &mut Writer, p: &Peer) {
     w.f64(p.donated);
     w.f64(p.received_vs);
     w.f64(p.download_time_acc);
-    for &x in &p.rate {
+    for &x in &p.tag {
         w.f64(x);
     }
-    for &x in &p.vs_rate {
-        w.f64(x);
-    }
-    for &x in &p.settled_at {
+    for &x in &p.vs_mark {
         w.f64(x);
     }
     w.f64(p.donation_rate);
     w.f64(p.donation_since);
     w.f64(p.active_since);
-    for &s in &p.comp_stamp {
-        w.u64(s);
-    }
-    for &ct in &p.comp_time {
-        w.f64(ct);
-    }
     w.u64(p.expiry_stamp);
 }
 
@@ -676,14 +697,11 @@ fn decode_peer(r: &mut Reader) -> Result<Peer, SnapshotError> {
     let donated = r.f64()?;
     let received_vs = r.f64()?;
     let download_time_acc = r.f64()?;
-    let rate: Vec<f64> = (0..n).map(|_| r.f64()).collect::<Result<_, _>>()?;
-    let vs_rate: Vec<f64> = (0..n).map(|_| r.f64()).collect::<Result<_, _>>()?;
-    let settled_at: Vec<f64> = (0..n).map(|_| r.f64()).collect::<Result<_, _>>()?;
+    let tag: Vec<f64> = (0..n).map(|_| r.f64()).collect::<Result<_, _>>()?;
+    let vs_mark: Vec<f64> = (0..n).map(|_| r.f64()).collect::<Result<_, _>>()?;
     let donation_rate = r.f64()?;
     let donation_since = r.f64()?;
     let active_since = r.f64()?;
-    let comp_stamp: Vec<u64> = (0..n).map(|_| r.u64()).collect::<Result<_, _>>()?;
-    let comp_time: Vec<f64> = (0..n).map(|_| r.f64()).collect::<Result<_, _>>()?;
     let expiry_stamp = r.u64()?;
     if cursor > n {
         return Err(SnapshotError::Corrupt(format!(
@@ -708,14 +726,11 @@ fn decode_peer(r: &mut Reader) -> Result<Peer, SnapshotError> {
         donated,
         received_vs,
         download_time_acc,
-        rate,
-        vs_rate,
-        settled_at,
+        tag,
+        vs_mark,
         donation_rate,
         donation_since,
         active_since,
-        comp_stamp,
-        comp_time,
         expiry_stamp,
     })
 }
@@ -927,8 +942,9 @@ mod tests {
         let snap = mid_run_snapshot();
         let mut bytes = snap.to_bytes();
         // Version sits right after the magic; bump it and re-checksum.
-        // 4 is the hybrid driver's frame, which shares the magic.
-        for version in [99, 4] {
+        // 4 is the hybrid driver's frame, which shares the magic; 2 and 3
+        // are the per-peer and aggregate layouts before finish tags.
+        for version in [99, 4, 2, 3] {
             bytes[4..8].copy_from_slice(&u32::to_le_bytes(version));
             let len = bytes.len();
             let sum = codec::fnv1a(&bytes[..len - 8]);

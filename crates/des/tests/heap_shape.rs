@@ -1,7 +1,8 @@
-//! The event heap holds one completion entry per subtorrent, not one per
-//! download: at the paper's parameters with hundreds of concurrent MFCD
-//! downloads it stays a few hundred entries deep, while the rate work and
-//! the event sequence stay exactly those of one entry per download.
+//! The per-peer engine's queue and rate work scale with files, not
+//! downloaders: at the paper's parameters with hundreds of concurrent MFCD
+//! downloads the lazy heap holds only seed expiries, completions come from
+//! one indexed head per subtorrent, and a pool change costs one clock
+//! re-anchor per file instead of one settlement per download.
 
 use btfluid_core::FluidParams;
 use btfluid_des::config::{DesConfig, OrderPolicy, SchemeKind};
@@ -35,11 +36,22 @@ fn paper_mix_mfcd_heap_stays_shallow() {
     let mut sim = Simulation::new(paper_mix_mfcd(1)).unwrap();
     while sim.step().unwrap() {}
     let c = sim.counters();
+    let events = sim.events();
     // One entry per download peaked at 10 501 entries on this run.
     assert!(c.heap_peak <= 512, "heap peaked at {} entries", c.heap_peak);
-    // Same events and the same rate recomputations as one entry per
-    // download (values recorded from that engine): no rate work skipped.
-    assert_eq!(sim.events(), 11_096);
-    assert_eq!(c.events_popped, 9_487);
-    assert_eq!(c.rate_recomputes, 4_653_877);
+    // The engine that settled every download on every pool change ran
+    // 11 096 events with 9 487 heap pops and 4 653 877 rate recomputes
+    // (about 420 per event). The clock engine dispatches the same run
+    // (its completion times differ only in their last bits) with fewer
+    // than 2·K rate evaluations per event.
+    assert!(
+        (11_000..=11_200).contains(&events),
+        "{events} events, 11 096 before"
+    );
+    assert!(
+        c.rate_recomputes < 20 * events,
+        "{} rate evaluations over {events} events",
+        c.rate_recomputes
+    );
+    assert!(c.events_popped <= events);
 }

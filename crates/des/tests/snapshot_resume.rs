@@ -5,7 +5,7 @@
 //! snapshot through the on-disk byte format, resumes, and compares every
 //! field of the two outcomes by bits — across all four schemes plus
 //! CMFSD+Adapt, in both `exact_rates` modes, with trajectory recording on,
-//! plus two aggregate-scheduling variants (snapshot format v3): the
+//! plus two aggregate-scheduling variants (snapshot format v6): the
 //! bit-identity contract holds *within* each scheduling mode.
 
 use btfluid_core::adapt::AdaptConfig;
@@ -190,7 +190,7 @@ fn checked_mode_resume_holds() {
 }
 
 #[test]
-fn aggregate_snapshot_encodes_as_v3_and_resumes_from_disk() {
+fn aggregate_snapshot_encodes_as_v6_and_resumes_from_disk() {
     // The aggregate analog of a SIGKILL mid-run: snapshot to disk, drop the
     // engine, read the file back cold, and finish in a fresh process image.
     let cfg = variant_cfg(6, false, 17);
@@ -203,8 +203,8 @@ fn aggregate_snapshot_encodes_as_v3_and_resumes_from_disk() {
     let bytes = sim.snapshot().to_bytes();
     assert_eq!(
         u32::from_le_bytes(bytes[4..8].try_into().unwrap()),
-        3,
-        "aggregate snapshots carry format version 3"
+        6,
+        "aggregate snapshots carry format version 6"
     );
     let dir = std::env::temp_dir().join(format!("btfs-agg-resume-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -220,7 +220,7 @@ fn aggregate_snapshot_encodes_as_v3_and_resumes_from_disk() {
 }
 
 #[test]
-fn per_peer_snapshot_still_encodes_as_v2() {
+fn per_peer_snapshot_encodes_as_v5() {
     let cfg = variant_cfg(0, false, 17);
     let mut sim = Simulation::new(cfg).unwrap();
     for _ in 0..50 {
@@ -229,8 +229,8 @@ fn per_peer_snapshot_still_encodes_as_v2() {
     let bytes = sim.snapshot().to_bytes();
     assert_eq!(
         u32::from_le_bytes(bytes[4..8].try_into().unwrap()),
-        2,
-        "per-peer snapshots keep format version 2"
+        5,
+        "per-peer snapshots carry format version 5"
     );
 }
 
@@ -252,15 +252,15 @@ fn mid_run_bytes(variant: usize, seed: u64, steps: usize) -> Vec<u8> {
 /// the run.
 #[test]
 fn snapshot_bytes_are_pinned() {
-    let v2 = mid_run_bytes(1, 31, 300); // MTCD, per-peer, trajectory on
+    let v5 = mid_run_bytes(1, 31, 300); // MTCD, per-peer, trajectory on
     let adapt = mid_run_bytes(4, 31, 300); // CMFSD + Adapt, rarest-first
-    let v3 = mid_run_bytes(6, 31, 300); // MTSD, aggregate
-    assert_eq!((v2.len(), fnv1a(&v2)), (73_233, 0xf278_475c_632c_f00d));
+    let v6 = mid_run_bytes(6, 31, 300); // MTSD, aggregate
+    assert_eq!((v5.len(), fnv1a(&v5)), (55_545, 0x3326_8515_abd3_c86e));
     assert_eq!(
         (adapt.len(), fnv1a(&adapt)),
-        (57_784, 0x6c99_5330_d1cc_4a18)
+        (44_632, 0xf877_21ce_2eba_5de4)
     );
-    assert_eq!((v3.len(), fnv1a(&v3)), (57_322, 0x9840_c83d_08a6_ceaa));
+    assert_eq!((v6.len(), fnv1a(&v6)), (46_306, 0x1b41_8202_7c4d_be05));
     assert_eq!(
         config_digest(&variant_cfg(4, false, 31)),
         0x7f81_a610_4a49_f2c0

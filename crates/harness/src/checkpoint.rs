@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 /// Atomically replaces `path` with `bytes`: write `<path>.tmp`, fsync,
 /// rename over the destination. A kill at any instant leaves either the
 /// old file or the new one, never a torn write. This is the workspace's
-/// only checkpoint writer (engine v2/v3 and hybrid v4 snapshots alike,
+/// only checkpoint writer (engine v5/v6 and hybrid v4 snapshots alike,
 /// through [`Checkpointer`]); flight dumps and other whole-file artifacts
 /// use it too.
 ///

@@ -3,7 +3,7 @@
 //! A hybrid checkpoint is taken *between decision boundaries* and captures
 //! everything the driver cannot re-derive from its config: the clock, the
 //! active regime, the fluid state vector or the embedded engine snapshot
-//! (the DES layer's own v2/v3 codec, verbatim), the handoff RNG stream,
+//! (the DES layer's own v5/v6 codec, verbatim), the handoff RNG stream,
 //! the per-class integrals, and the handoff log. Boundaries, policy, and
 //! the fluid model are pure functions of the config and are rebuilt on
 //! restore. The file is a version-4 [`btfluid_des::codec`] frame — the
@@ -20,7 +20,7 @@ use btfluid_des::{Simulation, Snapshot};
 use btfluid_numkit::rng::Xoshiro256StarStar;
 
 /// Hybrid snapshots are version 4 of the shared frame (the engine owns
-/// v2/v3).
+/// v5/v6).
 pub const HYBRID_SNAPSHOT_VERSION: u32 = 4;
 
 /// Digest of everything that parameterizes a run. Debug formatting of the
@@ -107,7 +107,7 @@ impl HybridRunner {
     /// # Errors
     /// Typed [`HybridError::Snapshot`] on truncation, checksum or digest
     /// mismatch, bad magic, or a version other than
-    /// [`HYBRID_SNAPSHOT_VERSION`] (engine v2/v3 files included);
+    /// [`HYBRID_SNAPSHOT_VERSION`] (engine v5/v6 files included);
     /// propagates embedded-engine restore failures.
     pub fn resume(cfg: HybridConfig, bytes: &[u8]) -> Result<Self, HybridError> {
         let (version, mut r) = codec::open(bytes)?;
@@ -204,7 +204,7 @@ mod tests {
             HybridRunner::resume(other, &bytes),
             Err(HybridError::Snapshot(_))
         ));
-        // Engine v2/v3 frames share the magic but not the version.
+        // Engine v5/v6 frames share the magic but not the version.
         for aggregate in [false, true] {
             let mut engine = Simulation::new(btfluid_des::DesConfig {
                 aggregate,

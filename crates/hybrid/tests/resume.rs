@@ -153,8 +153,8 @@ fn without_queue_shape(bytes: &[u8]) -> Vec<u8> {
 }
 
 /// The v4 encoding itself is pinned, not just its round trip: length and
-/// FNV-1a digest of snapshots taken mid-discrete (embedding a live v2 or
-/// v3 engine) and mid-fluid, with the engine's queue-shape counters
+/// FNV-1a digest of snapshots taken mid-discrete (embedding a live v5 or
+/// v6 engine) and mid-fluid, with the engine's queue-shape counters
 /// zeroed. A layout change needs a version bump and new pins.
 #[test]
 fn v4_snapshot_bytes_are_pinned() {
@@ -169,8 +169,8 @@ fn v4_snapshot_bytes_are_pinned() {
     assert_eq!(discrete.regime(), Regime::Discrete);
     assert_eq!(fluid.regime(), Regime::Fluid);
     let pins = [
-        (&discrete_agg, 24_556, 0x4eee_e845_51a2_2a54),
-        (&discrete, 28_698, 0x7ef4_61f4_4c11_15f3),
+        (&discrete_agg, 22_252, 0x3c9f_dfbb_c71d_3a6f),
+        (&discrete, 23_322, 0x03d5_8fcd_83c3_3f1a),
         (&fluid, 383, 0x633d_c316_c9c9_b34c),
     ];
     for (runner, len, digest) in pins {

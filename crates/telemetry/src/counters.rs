@@ -21,8 +21,9 @@ pub struct Counters {
     pub stale_discards: u64,
     /// Peak event-queue length observed.
     pub heap_peak: u64,
-    /// Per-download rate recomputations performed by the rate cache
-    /// (each is one `recompute_rate` evaluation).
+    /// Rate evaluations performed by the per-peer rate cache: one per
+    /// completion-group due time recomputed and one per download
+    /// registered with a fresh finish tag.
     pub rate_recomputes: u64,
     /// Rate-cache refreshes satisfied without touching any aggregate
     /// (nothing dirty — the incremental fast path).
